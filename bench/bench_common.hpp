@@ -2,13 +2,14 @@
 //
 // By default every bench models the paper's platform: an IBM SP2 with 4
 // nodes x 4 PowerPC-604 processors (sim::Topology::sp2()) and the SP2-era
-// cost model. OMSP_TOPOLOGY=<spec> rebenches the same workloads on another
-// machine shape ("flat:64x4", "fat:2x8x2", "asym:8+4+4", ... — see
-// docs/TOPOLOGY.md); bench JSON carries the topology spec so per-shape
-// baselines never collide. Problem sizes are scaled down from the paper's
-// (which needed hours on the 1999 machine and would need comparable virtual
-// time here); the per-app compute/communication character is preserved, and
-// EXPERIMENTS.md records the paper-vs-measured comparison for every row.
+// cost model. `topo=<spec>` in OMSP_CONFIG rebenches the same workloads on
+// another machine shape ("flat:64x4", "fat:2x8x2", "asym:8+4+4", ... — see
+// docs/TOPOLOGY.md); bench JSON carries the canonical config string so
+// per-configuration baselines never collide. Problem sizes are scaled down
+// from the paper's (which needed hours on the 1999 machine and would need
+// comparable virtual time here); the per-app compute/communication
+// character is preserved, and EXPERIMENTS.md records the paper-vs-measured
+// comparison for every row.
 #pragma once
 
 #include <cstdio>
@@ -23,11 +24,16 @@
 #include "apps/sor.hpp"
 #include "apps/tsp.hpp"
 #include "apps/water.hpp"
+#include "common/env_config.hpp"
 
 namespace omsp::bench {
 
+// OMSP_CONFIG's `topo` key; the DSM and MPI runs pick up its other keys
+// themselves.
 inline sim::Topology paper_topology() {
-  return sim::Topology::from_env_or(sim::Topology::sp2());
+  const char* spec = env_config();
+  return spec == nullptr ? sim::Topology::sp2()
+                         : tmk::Config::parse(spec).topology;
 }
 inline sim::CostModel paper_cost() {
   sim::CostModel m = sim::CostModel::sp2_default();
@@ -47,6 +53,12 @@ inline tmk::Config paper_config(tmk::Mode mode,
   cfg.cost = paper_cost();
   cfg.heap_bytes = 64u << 20;
   return cfg;
+}
+
+// The canonical config string the paper runs use, OMSP_CONFIG applied: the
+// bench JSON names it so per-configuration baselines never collide.
+inline std::string paper_config_string() {
+  return paper_config(tmk::Mode::kThread).with_env().to_string();
 }
 
 // Problem-size tier: the regular bench sizes (scaled below the paper's but

@@ -56,6 +56,7 @@ int main(int argc, char** argv) {
     JsonObject root;
     root.add_string("bench", "fig1_speedup");
     root.add("smoke", args.smoke);
+    root.add_string("config", paper_config_string());
     root.add("apps", apps_obj.str());
     write_json_file(args.json_path, root.str());
   }

@@ -218,36 +218,6 @@ void BM_FaultFetchRoundTrip(benchmark::State& state) {
 }
 BENCHMARK(BM_FaultFetchRoundTrip)->Unit(benchmark::kMicrosecond);
 
-// Intra-node fault/fetch with the zero-copy switch (OMSP_ZEROCOPY): two
-// contexts on ONE node, so the reply payload is eligible for view delivery.
-// Host time is the quantity zero-copy optimizes; every modeled number is
-// asserted bit-for-bit elsewhere (zerocopy_test.cc).
-void BM_IntraNodeFetchZeroCopy(benchmark::State& state) {
-  Config cfg;
-  cfg.topology = sim::Topology(1, 2); // one node, two procs
-  cfg.mode = Mode::kProcess;          // two contexts, same node
-  cfg.cost = sim::CostModel::zero();
-  cfg.heap_bytes = 1u << 20;
-  cfg.zerocopy.enabled = state.range(0) != 0;
-  DsmSystem dsm(cfg);
-  auto data = dsm.alloc_page_aligned<long>(512);
-  long expect = 0;
-  for (auto _ : state) {
-    ++expect;
-    dsm.parallel([&](Rank r) {
-      if (r == 0) data[0] = expect;
-      dsm.barrier();
-      if (r == 1) benchmark::DoNotOptimize(data[0]);
-    });
-  }
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_IntraNodeFetchZeroCopy)
-    ->Arg(0)
-    ->Arg(1)
-    ->ArgName("zerocopy")
-    ->Unit(benchmark::kMicrosecond);
-
 // Multi-writer fetch: four writers each dirty a quarter of one falsely
 // shared page; the post-barrier read faults once and fetches diffs from all
 // three remote creators. With overlap off the stall is the SUM of the three
@@ -292,7 +262,7 @@ BENCHMARK(BM_MultiWriterFetch)
     ->Unit(benchmark::kMicrosecond);
 
 // Barrier engine comparison on a 16-node fat tree: arg 0 runs the seed's
-// centralized manager, arg 1 the hierarchical tree episode (OMSP_COLL=tree).
+// centralized manager, arg 1 the hierarchical tree episode (coll=tree).
 // Host time measures the episode machinery; the modeled cost of one barrier
 // — the quantity the engine optimizes — is exported as virtual_us_per_iter.
 // Per-byte injection occupancy is on, so the manager's 15-message departure

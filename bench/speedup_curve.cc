@@ -214,7 +214,7 @@ int run_scale(const BenchArgs& args) {
   // bytes * occupancy_byte_us per message, so the flat star's root serializes
   // p-1 arrivals while the tree spreads them over node and switch leaders.
   // Latency-dominated small payloads still favor the flat star (fewer
-  // chained hops) — the crossover OMSP_COLL=tree:<bytes> is tuned by.
+  // chained hops) — the crossover coll=tree:<bytes> is tuned by.
   sim::CostModel coll_cost = paper_cost();
   coll_cost.cpu_scale = 0;
   coll_cost.occupancy_byte_us = 0.02;
@@ -264,7 +264,7 @@ int run_scale(const BenchArgs& args) {
               "occupancy overtakes hop latency. At 8 bytes the flat\nstar's "
               "two hops win up to 128 ranks; by 512 even small-message "
               "fan-in\nserializes enough to favor the tree — the size-and-"
-              "scale crossover the\nOMSP_COLL=tree:<bytes> knob tunes.\n");
+              "scale crossover the\ncoll=tree:<bytes> knob tunes.\n");
 
   // --- incast/saturation shape: flat crossbar vs fat tree --------------------
   std::printf("\nSaturation probes: modeled queueing by tier (one 4 KB "

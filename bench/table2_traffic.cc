@@ -91,10 +91,10 @@ int main(int argc, char** argv) {
     JsonObject root;
     root.add_string("bench", "table2_traffic");
     root.add("smoke", args.smoke);
-    // The machine shape the rows were measured on: the drift check matches
-    // rows against the baseline for THIS topology only, so the exact 4x4
-    // baseline survives sweeps over larger machines.
-    root.add_string("topology", paper_topology().spec());
+    // The configuration the rows were measured under: the drift check
+    // matches rows against the baseline for THIS machine shape and
+    // collective engine only, so the exact 4x4 baseline survives sweeps.
+    root.add_string("config", paper_config_string());
     root.add("apps", apps_obj.str());
     write_json_file(args.json_path, root.str());
   }

@@ -2,13 +2,13 @@
 # Bench smoke: run the evaluation benches at CI problem sizes, merge their
 # machine-readable rows into BENCH_pr10.json, and fail if message counts
 # drifted vs the committed baseline under the default (inline, synchronous)
-# transport. Each bench row also records its host WALL-CLOCK seconds
-# ("wall_clock_s") — modeled results answer "is the simulation right",
-# the wall-clock column answers "how long does the simulator itself take",
-# which is what the SIMD/pooling/zero-copy work (ISSUE 8) optimizes. The
-# diff-kernel microbenchmarks (scalar vs SIMD create, apply, twin
-# provisioning, intra-node zero-copy fetch) are folded in under
-# "micro_diff_kernels" when bench/micro_dsm is built.
+# transport. The JSON names the canonical config string the runs used
+# ("config", tmk::Config::to_string). Each bench row also records its host
+# WALL-CLOCK seconds ("wall_clock_s") — modeled results answer "is the
+# simulation right", the wall-clock column answers "how long does the
+# simulator itself take". The diff-kernel microbenchmarks (scalar vs SIMD
+# create, apply, twin provisioning) are folded in under "micro_diff_kernels"
+# when bench/micro_dsm is built.
 #
 #   scripts/bench_smoke.sh [--build-dir <dir>] [--out <file>] [--update-baseline]
 #
@@ -24,8 +24,8 @@
 # Baselines are keyed by topology spec AND collective engine
 # (bench/bench_smoke_baseline.json maps "sp2", "flat:64x4", "sp2+coll=tree",
 # ... to their own table2 rows), so the exact no-loss 4x4 baseline survives
-# sweeps over larger machines or OMSP_COLL=tree: a run is compared only
-# against ITS key's baseline and fails loudly if none is committed yet.
+# sweeps over larger machines or coll=tree: a run is compared only against
+# ITS key's baseline and fails loudly if none is committed yet.
 #
 # The beyond-the-SP2 scalability sweep (speedup_curve --scale) runs under
 # seeds 1-3; its MPI curves are bit-deterministic per seed (per-link loss
@@ -58,13 +58,19 @@ done
 TMP=$(mktemp -d)
 trap 'rm -rf "$TMP"' EXIT
 
-# Default transport only: no OMSP_OVERLAP / loss in the environment — this
-# is the bit-for-bit seed configuration the drift check certifies.
-# OMSP_TOPOLOGY and OMSP_COLL are deliberately NOT unset: a caller-selected
-# machine shape or collective engine is a legitimate sweep, checked against
-# its own baseline key.
-unset OMSP_OVERLAP OMSP_OVERLAP_FETCH OMSP_OVERLAP_PREFETCH OMSP_PERTURB_SEED \
-      OMSP_LOSS_PROB OMSP_RACE
+# Default transport only: the drift check certifies the bit-for-bit seed
+# configuration, so a caller's OMSP_CONFIG may select the machine shape
+# (topo) and the collective engine (coll) — legitimate sweeps, each checked
+# against its own baseline key — and nothing else.
+IFS=';' read -ra entries <<< "${OMSP_CONFIG:-}"
+for e in "${entries[@]}"; do
+  case "${e%%=*}" in
+    topo|coll) ;;
+    *) echo "bench_smoke: OMSP_CONFIG may set only topo and coll, got '$e'" >&2
+       exit 1 ;;
+  esac
+done
+RACE_CONFIG="${OMSP_CONFIG:+$OMSP_CONFIG;}race=page"
 
 # The no-loss baseline must not engage the reliability layer at all: zero
 # losses, zero retransmissions, zero acks (and therefore zero extra wire
@@ -91,18 +97,18 @@ fi
 # the count check reuses the drift policy below on a detector-on table2 run
 # (MPI exact — the detector never touches mini-MPI — SDSM within the band).
 if [ -x "$BUILD_DIR/src/trace/omsp-trace" ]; then
-  echo "== race-detector invariant (OMSP_RACE=page) =="
-  OMSP_RACE=page "$BUILD_DIR/src/trace/omsp-trace" record sor \
+  echo "== race-detector invariant (race=page) =="
+  OMSP_CONFIG="$RACE_CONFIG" "$BUILD_DIR/src/trace/omsp-trace" record sor \
       -o "$TMP/race_sor" >/dev/null
   "$BUILD_DIR/src/trace/omsp-trace" races "$TMP/race_sor.trace" || {
     echo "bench_smoke: default baseline is not race-clean" >&2; exit 1; }
 fi
 echo "== table2_traffic --smoke, detector on =="
-OMSP_RACE=page "$BUILD_DIR/bench/table2_traffic" --smoke \
+OMSP_CONFIG="$RACE_CONFIG" "$BUILD_DIR/bench/table2_traffic" --smoke \
     --json "$TMP/table2_race.json"
 
-# Host wall-clock per bench (the column ISSUE 8's host-side optimizations
-# move; modeled numbers in the same rows must not move at all).
+# Host wall-clock per bench (host-side optimizations move this column;
+# modeled numbers in the same rows must not move at all).
 wallclock() { # wallclock <name> <cmd...>
   local name=$1; shift
   local t0 t1
@@ -132,13 +138,13 @@ done
     --json "$TMP/scale_seed1_rerun.json" >/dev/null
 
 # Diff-kernel microbenches (host nanoseconds): scalar vs SIMD create, the
-# checked apply vs the pre-PR loop, pooled twin provisioning, zero-copy vs
-# copy-in intra-node fetch. Medians over 5 repetitions with random
-# interleaving so the scalar/SIMD ratio is robust to frequency drift.
+# checked apply vs the reference loop, pooled twin provisioning. Medians
+# over 5 repetitions with random interleaving so the scalar/SIMD ratio is
+# robust to frequency drift.
 if [ -x "$BUILD_DIR/bench/micro_dsm" ]; then
   echo "== micro_dsm diff kernels =="
   "$BUILD_DIR/bench/micro_dsm" \
-      --benchmark_filter='BM_Diff|BM_Twin|BM_IntraNode' \
+      --benchmark_filter='BM_Diff|BM_Twin' \
       --benchmark_repetitions=5 --benchmark_enable_random_interleaving=true \
       --benchmark_report_aggregates_only=true \
       --benchmark_format=json > "$TMP/micro.json"
@@ -152,9 +158,11 @@ tmp, out_path, baseline_path, update = sys.argv[1], sys.argv[2], sys.argv[3], sy
 table2 = json.load(open(f"{tmp}/table2.json"))
 table2_race = json.load(open(f"{tmp}/table2_race.json"))
 fig1 = json.load(open(f"{tmp}/fig1.json"))
-topo = table2.get("topology", "sp2")
-coll = os.environ.get("OMSP_COLL", "")
-key = topo if coll in ("", "central") else f"{topo}+coll={coll}"
+config = table2["config"]
+# The canonical string always names topo and names coll only when it is not
+# central, so the key is "<topo>" or "<topo>+coll=<engine>".
+entries = dict(e.split("=", 1) for e in config.split(";"))
+key = entries["topo"] + (f"+coll={entries['coll']}" if "coll" in entries else "")
 
 scale = {}
 for s in (1, 2, 3):
@@ -257,9 +265,6 @@ if os.path.exists(f"{tmp}/micro.json"):
             for p in (5, 25, 100)},
         "twin_unpooled_over_pooled":
             ratio("BM_TwinProvision/pooled:0", "BM_TwinProvision/pooled:1"),
-        "fetch_copy_over_zerocopy":
-            ratio("BM_IntraNodeFetchZeroCopy/zerocopy:0",
-                  "BM_IntraNodeFetchZeroCopy/zerocopy:1"),
     }
     c5 = micro["create_scalar_over_simd"]["5pct"]
     c25 = micro["create_scalar_over_simd"]["25pct"]
@@ -273,9 +278,7 @@ if os.path.exists(f"{tmp}/micro.json"):
 
 merged = {
     "generated_by": "scripts/bench_smoke.sh",
-    "transport": "inline (default)",
-    "topology": topo,
-    "coll": coll or "central",
+    "config": config,
     "wall_clock_s": wall,
     "micro_diff_kernels": micro,
     "table2_traffic": table2,
@@ -334,9 +337,9 @@ def drift(run, tag):
         sys.exit(1)
 
 drift(table2, "(detector off)")
-# The detector-on run is held to the SAME baseline: OMSP_RACE adds zero
+# The detector-on run is held to the SAME baseline: race=page adds zero
 # messages, so the exact MPI rows and the SDSM band apply unchanged.
-drift(table2_race, "(OMSP_RACE=page)")
+drift(table2_race, "(race=page)")
 print(f"message counts match the seed baseline [{key}], detector off AND on "
       "(MPI exact, SDSM within 25%, TSP SDSM exempt)")
 EOF

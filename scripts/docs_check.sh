@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# Docs <-> code sync check, run as the CI docs-check job. Three passes:
+# Docs <-> code sync check, run as the CI docs-check job. Four passes:
 #
 #  1. Markdown link check: every relative link target in docs/, README.md,
 #     EXPERIMENTS.md, DESIGN.md and ROADMAP.md must exist on disk.
@@ -9,6 +9,9 @@
 #  3. Topology-preset sync: every preset and spec prefix documented in
 #     docs/TOPOLOGY.md must exist in src/sim/topology.hpp, and vice versa —
 #     a new preset cannot ship undocumented.
+#  4. Config-key sync: every OMSP_CONFIG key the grammar accepts
+#     (kConfigKeys in src/common/env_config.hpp) has a row in README's key
+#     table, and every row names a key the grammar accepts.
 #
 # Pure stdlib python3; no dependencies beyond what the CI image carries.
 set -euo pipefail
@@ -66,7 +69,7 @@ topo_hpp = open("src/sim/topology.hpp", encoding="utf-8").read()
 topo_md = open("docs/TOPOLOGY.md", encoding="utf-8").read()
 code_presets = set(re.findall(r"static Topology (\w+)\(", topo_hpp))
 doc_presets = set(re.findall(r"Topology::(\w+)\(", topo_md))
-for p in sorted(code_presets - doc_presets - {"parse", "from_env_or"}):
+for p in sorted(code_presets - doc_presets - {"parse"}):
     failures.append(f"src/sim/topology.hpp: preset '{p}' undocumented in "
                     "docs/TOPOLOGY.md")
 # The docs also reference ordinary members as Topology::name(...); any
@@ -80,8 +83,23 @@ code_prefixes = set(re.findall(r'substr\(0, \d+\) == "(\w+):"', topo_hpp))
 for p in sorted(code_prefixes):
     if f"`{p}:" not in topo_md:
         failures.append(f"docs/TOPOLOGY.md: spec prefix '{p}:' undocumented")
-print(f"preset sync: {len(code_presets - {'parse', 'from_env_or'})} presets, "
+print(f"preset sync: {len(code_presets - {'parse'})} presets, "
       f"{len(code_prefixes)} spec prefixes verified")
+
+# ---- 4. OMSP_CONFIG keys match README's key table --------------------------
+env_hpp = open("src/common/env_config.hpp", encoding="utf-8").read()
+key_block = re.search(r"kConfigKeys = \{([^}]*)\}", env_hpp)
+code_keys = set(re.findall(r'"(\w+)"', key_block.group(1))) if key_block else set()
+if not code_keys:
+    failures.append("src/common/env_config.hpp: kConfigKeys not found")
+readme = open("README.md", encoding="utf-8").read()
+knobs = readme.split("## Debugging knobs", 1)[-1].split("\n## ", 1)[0]
+doc_keys = set(re.findall(r"^\| `(\w+)` \|", knobs, re.M))
+for k in sorted(code_keys - doc_keys):
+    failures.append(f"README.md: OMSP_CONFIG key '{k}' missing from the key table")
+for k in sorted(doc_keys - code_keys):
+    failures.append(f"README.md: key table row '{k}' is not an OMSP_CONFIG key")
+print(f"config-key sync: {len(code_keys & doc_keys)} keys verified")
 
 if failures:
     print("docs_check failures:", file=sys.stderr)

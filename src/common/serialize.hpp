@@ -108,14 +108,6 @@ public:
     return out;
   }
 
-  // Borrow n bytes without copying; valid while the underlying buffer lives.
-  std::span<const std::uint8_t> view_bytes(std::size_t n) {
-    OMSP_CHECK_MSG(pos_ + n <= size_, "ByteReader underflow");
-    std::span<const std::uint8_t> out(data_ + pos_, n);
-    pos_ += n;
-    return out;
-  }
-
   std::size_t remaining() const { return size_ - pos_; }
   bool done() const { return pos_ == size_; }
   std::size_t position() const { return pos_; }

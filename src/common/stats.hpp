@@ -54,9 +54,7 @@ enum class Counter : std::size_t {
   kAcksSent,            // explicit ack messages for reliable notice channels
   kCollStages,          // hierarchical-collective schedule edges traversed
   kCollBytes,           // wire bytes carried across those schedule edges
-  kZeroCopyDeliveries,  // same-node payloads handed over as views, no copy
-  kZeroCopyBytes,       // payload bytes those deliveries avoided copying
-  kRaceChecks,          // detector pairwise concurrency checks (OMSP_RACE)
+  kRaceChecks,          // detector pairwise concurrency checks (Config::race)
   kRacesDetected,       // write-write race reports from those checks
   kContentionStageWaits, // sends that queued behind a busy link segment, one
                          // per (message, segment) wait along the path
@@ -76,7 +74,6 @@ inline const char* counter_name(Counter c) {
                "prefetch_pages_fetched", "prefetch_hits",
                "msgs_lost",        "retransmits",     "acks_sent",
                "coll_stages",      "coll_bytes",
-               "zerocopy_deliveries", "zerocopy_bytes",
                "race_checks",      "races_detected",
                "contention_stage_waits"};
   return names[static_cast<std::size_t>(c)];

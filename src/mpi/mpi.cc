@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "common/env_config.hpp"
 #include "net/message.hpp"
 #include "trace/tracer.hpp"
 
@@ -23,9 +24,11 @@ MpiWorld::MpiWorld(sim::Topology topo, sim::CostModel cost,
   }
   mailboxes_.resize(topo_.nprocs());
   for (auto& m : mailboxes_) m = std::make_unique<Mailbox>();
-  // OMSP_COLL selects the collective engine code-free, mirroring the DSM
-  // side; set_coll() overrides explicitly before run().
-  coll_ = coll::Options::from_env();
+  // The `coll` key of OMSP_CONFIG selects the collective engine code-free,
+  // mirroring the DSM side; set_coll() overrides explicitly before run().
+  if (const char* spec = env_config(); spec != nullptr)
+    for (const ConfigEntry& e : split_config(spec))
+      if (e.key == "coll") coll_ = parse_config_value(e, coll::Options::parse);
 }
 
 MpiWorld::~MpiWorld() = default;

@@ -17,10 +17,10 @@
 // columns do. Allreduce is a fused star/tree (partials combine on the way up
 // to rank 0, the result returns down the same schedule) rather than a
 // chained reduce+bcast, which halves its latency at identical message count.
-// Under coll::Options tree mode (OMSP_COLL=tree, or MpiWorld::set_coll),
-// barrier/bcast/reduce/allreduce instead follow the hierarchical
-// coll::Schedule derived from the topology — the same engine the DSM
-// barrier uses — with the flat-vs-tree switchover by payload size and
+// Under coll::Options tree mode (`coll=tree` in OMSP_CONFIG, or
+// MpiWorld::set_coll), barrier/bcast/reduce/allreduce instead follow the
+// hierarchical coll::Schedule derived from the topology — the same engine
+// the DSM barrier uses — with the flat-vs-tree switchover by payload size and
 // segment-pipelined tree broadcasts, so the MPI baseline stays an honest
 // comparison at large node counts.
 #pragma once
@@ -77,7 +77,7 @@ public:
   // Virtual makespan of the last run(): max over ranks of their final clock.
   double makespan_us() const { return makespan_us_; }
 
-  // Collective engine selection (resolved from OMSP_COLL at construction).
+  // Collective engine selection (OMSP_CONFIG's `coll` key at construction).
   // Explicit override for tests and benches; call before run().
   void set_coll(const coll::Options& opts) { coll_ = opts; }
   const coll::Options& coll() const { return coll_; }

@@ -1,7 +1,6 @@
 #include "net/collective.hpp"
 
 #include <algorithm>
-#include <cstdlib>
 #include <unordered_map>
 
 #include "common/check.hpp"
@@ -44,16 +43,6 @@ std::optional<Options> Options::parse(std::string_view spec) {
     return opts;
   }
   return std::nullopt;
-}
-
-Options Options::from_env() {
-  const char* env = std::getenv("OMSP_COLL");
-  if (env == nullptr || *env == '\0') return Options{};
-  auto opts = parse(env);
-  OMSP_CHECK_MSG(opts.has_value(),
-                 "malformed OMSP_COLL spec (want central | tree | "
-                 "tree:<flat_max_bytes>)");
-  return *opts;
 }
 
 Schedule Schedule::flat(std::uint32_t n) {

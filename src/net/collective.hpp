@@ -23,7 +23,8 @@
 // single-level star (fewer chained hops wins when latency dominates), large
 // payloads take the hierarchy (per-leader fan-in/fan-out serialization wins
 // when injection bandwidth dominates). Options::flat_max_bytes is the knob;
-// OMSP_COLL=central|tree|tree:<bytes> selects from the environment.
+// `coll=central|tree|tree:<bytes>` in OMSP_CONFIG selects from the
+// environment.
 #pragma once
 
 #include <cstdint>
@@ -55,11 +56,6 @@ struct Options {
   // Parse "central", "tree" or "tree:<flat_max_bytes>"; nullopt on anything
   // else (including empty numbers and non-digits).
   static std::optional<Options> parse(std::string_view spec);
-
-  // Resolve OMSP_COLL from the environment; defaults when unset. A set but
-  // malformed value is a hard error, mirroring OMSP_TOPOLOGY — a typo must
-  // not silently fall back to the centralized engine.
-  static Options from_env();
 };
 
 // The gather/scatter tree for one collective. Members are dense indices

@@ -1,9 +1,6 @@
 #include "net/transport.hpp"
 
 #include <algorithm>
-#include <cmath>
-#include <cstdlib>
-#include <string_view>
 
 #include "common/check.hpp"
 #include "net/router.hpp"
@@ -166,53 +163,6 @@ double InlineTransport::notify(const Envelope& env) {
   return router_.account(env) + contention_us(env,
                                               env.payload_size() + kHeaderBytes,
                                               /*reserve=*/false);
-}
-
-// ---------------------------------------------------------------------------
-// OverlapOptions
-
-namespace {
-bool env_flag(const char* name, bool dflt) {
-  const char* s = std::getenv(name);
-  if (s == nullptr || *s == '\0') return dflt;
-  return !(s[0] == '0' && s[1] == '\0');
-}
-} // namespace
-
-OverlapOptions OverlapOptions::from_env() {
-  OverlapOptions o;
-  o.enabled = env_flag("OMSP_OVERLAP", false);
-  if (o.enabled) {
-    o.async_fetch = env_flag("OMSP_OVERLAP_FETCH", true);
-    o.prefetch = env_flag("OMSP_OVERLAP_PREFETCH", true);
-  }
-  return o;
-}
-
-// ---------------------------------------------------------------------------
-// ZeroCopyOptions
-
-ZeroCopyOptions ZeroCopyOptions::from_env() {
-  // OMSP_ZEROCOPY=off|on|<bytes>: "on" (or "1") views every eligible
-  // same-node payload; a number sets the XHC-style switchover threshold —
-  // payloads below it keep the copy path (small messages gain nothing from
-  // holding the backing buffer alive).
-  ZeroCopyOptions o;
-  const char* s = std::getenv("OMSP_ZEROCOPY");
-  if (s == nullptr || *s == '\0') return o;
-  const std::string_view v(s);
-  if (v == "off" || v == "0") return o;
-  if (v == "on" || v == "1") {
-    o.enabled = true;
-    return o;
-  }
-  char* end = nullptr;
-  const unsigned long long n = std::strtoull(s, &end, 10);
-  if (end != s && *end == '\0') {
-    o.enabled = true;
-    o.threshold_bytes = static_cast<std::size_t>(n);
-  }
-  return o;
 }
 
 // ---------------------------------------------------------------------------
@@ -393,46 +343,6 @@ void QueuedTransport::service(ContextId dst, Job& job, Worker& w) {
     job.state->done = true;
     job.state->cv.notify_all();
   }
-}
-
-// ---------------------------------------------------------------------------
-// PerturbOptions
-
-PerturbOptions PerturbOptions::from_env() {
-  PerturbOptions o;
-  if (const char* s = std::getenv("OMSP_PERTURB_SEED"); s != nullptr && *s) {
-    char* end = nullptr;
-    const unsigned long long v = std::strtoull(s, &end, 10);
-    if (end != s && v != 0) {
-      o.enabled = true;
-      o.seed = v;
-    }
-  }
-  if (const char* s = std::getenv("OMSP_LOSS_PROB"); s != nullptr && *s) {
-    char* end = nullptr;
-    const double v = std::strtod(s, &end);
-    if (end != s && v > 0) {
-      if (!o.enabled) {
-        // Loss requested on its own: inject ONLY loss, so lossy runs are
-        // perturbed-run comparable and the knobs stay orthogonal.
-        o.enabled = true;
-        o.jitter_max_us = 0;
-        o.duplicate_prob = 0;
-        o.reorder_prob = 0;
-      }
-      o.loss_prob = v < 1.0 ? v : 0.95; // cap: p=1 can never deliver
-      // Env-driven lossy sweeps run the entire suite, so scale the retry
-      // cap to the requested rate: an attempt fails with q = 1-(1-p)^2
-      // (request or reply lost); pick the cap that leaves a per-exchange
-      // exhaustion residual of q^(cap+1) <= 1e-12. Explicit Config users
-      // keep whatever cap they set.
-      const double q =
-          1.0 - (1.0 - o.loss_prob) * (1.0 - o.loss_prob);
-      const double need = std::ceil(-12.0 / std::log10(q));
-      o.max_retries = std::clamp(static_cast<std::uint32_t>(need), 8u, 64u);
-    }
-  }
-  return o;
 }
 
 // ---------------------------------------------------------------------------

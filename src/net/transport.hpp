@@ -287,8 +287,7 @@ private:
 
 // Opt-in knobs for the overlapped communication paths (tmk::Config.overlap).
 // With enabled == false (the default) the DSM runs the seed-exact
-// InlineTransport; OMSP_OVERLAP=1 enables from the environment, with
-// OMSP_OVERLAP_FETCH=0 / OMSP_OVERLAP_PREFETCH=0 masking the sub-features.
+// InlineTransport; `overlap=on` in OMSP_CONFIG enables both sub-features.
 struct OverlapOptions {
   bool enabled = false;
   // fetch_and_apply issues all per-creator diff requests of a round
@@ -298,25 +297,6 @@ struct OverlapOptions {
   // for the pages its write notices invalidated, overlapped with post-
   // barrier compute until first touch.
   bool prefetch = true;
-
-  static OverlapOptions from_env();
-};
-
-// Zero-copy intra-node delivery (docs/PROTOCOL.md "Zero-copy intra-node
-// delivery"): when a request/reply's src and dst contexts share a physical
-// node and the serialized payload is at least threshold_bytes, the receiver
-// keeps the delivered buffer alive and parses diff payloads as views into it
-// instead of deserializing copies — the XHC-style zero-copy vs copy-in/
-// copy-out switch. A pure wall-clock optimization: modeled costs, message
-// accounting and every pre-existing counter are bit-for-bit identical to the
-// copy path (asserted by tests); only the zerocopy_* counters and the
-// kZeroCopyDeliver trace event are new, and they fire only when enabled.
-// OMSP_ZEROCOPY=off|on|<bytes> is the code-free enable ("on" = threshold 0).
-struct ZeroCopyOptions {
-  bool enabled = false;
-  std::size_t threshold_bytes = 0;
-
-  static ZeroCopyOptions from_env();
 };
 
 // Asynchronous delivery: one worker thread per destination context services
@@ -436,10 +416,9 @@ private:
 };
 
 // Deterministic perturbation parameters. `enabled` gates construction by
-// DsmSystem; OMSP_PERTURB_SEED=<n> enables from the environment with the
-// default rates below. OMSP_LOSS_PROB=<p> enables seeded loss; when it is
-// the only perturbation requested (no OMSP_PERTURB_SEED), the jitter/
-// duplicate/reorder rates are zeroed so ONLY loss is injected.
+// DsmSystem; `perturb=<seed>` in OMSP_CONFIG enables it with the default
+// rates below, and `loss=<p>` enables seeded loss — on its own, with the
+// jitter/duplicate/reorder rates zeroed so ONLY loss is injected.
 struct PerturbOptions {
   bool enabled = false;
   std::uint64_t seed = 1;
@@ -457,8 +436,6 @@ struct PerturbOptions {
                                  // TransportError
 
   bool lossy() const { return loss_prob > 0 || drop_first; }
-
-  static PerturbOptions from_env();
 };
 
 struct PerturbStats {

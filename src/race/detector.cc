@@ -18,7 +18,7 @@ constexpr std::uint32_t kWordBytes = 4;
 
 Detector::Detector(Options opts, std::uint32_t ncontexts)
     : opts_(opts), ncontexts_(ncontexts) {
-  OMSP_CHECK_MSG(opts_.enabled(), "Detector constructed with OMSP_RACE off");
+  OMSP_CHECK_MSG(opts_.enabled(), "Detector constructed with race detection off");
 }
 
 std::vector<ByteRange> Detector::ranges_of_diff(

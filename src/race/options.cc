@@ -1,9 +1,5 @@
 #include "race/options.hpp"
 
-#include <cstdlib>
-
-#include "common/check.hpp"
-
 namespace omsp::race {
 
 std::optional<Options> Options::parse(std::string_view spec) {
@@ -18,15 +14,6 @@ std::optional<Options> Options::parse(std::string_view spec) {
     return std::nullopt;
   }
   return opts;
-}
-
-Options Options::from_env() {
-  const char* env = std::getenv("OMSP_RACE");
-  if (env == nullptr || *env == '\0') return Options{};
-  auto opts = parse(env);
-  OMSP_CHECK_MSG(opts.has_value(),
-                 "malformed OMSP_RACE spec (want off | page | word)");
-  return *opts;
 }
 
 } // namespace omsp::race

@@ -12,9 +12,8 @@
 //     one word (sub-word false sharing, the classic torn-update hazard) are
 //     flagged even when their byte ranges are disjoint.
 //
-// OMSP_RACE=off|page|word is the code-free enable, following the same
-// resolution pattern as OMSP_COLL / OMSP_ZEROCOPY: consulted at DsmSystem
-// construction when the Config leaves the detector off, and a set-but-
+// `race=off|page|word` in OMSP_CONFIG is the code-free enable, applied at
+// DsmSystem construction when the Config leaves the detector off; a
 // malformed value is a hard error — a typo must not silently disable the
 // correctness oracle.
 #pragma once
@@ -33,11 +32,6 @@ struct Options {
 
   // Parse "off", "page" or "word"; nullopt on anything else.
   static std::optional<Options> parse(std::string_view spec);
-
-  // Resolve OMSP_RACE from the environment; defaults when unset or empty.
-  // A set but malformed value is a hard error (OMSP_CHECK), mirroring
-  // OMSP_COLL.
-  static Options from_env();
 };
 
 } // namespace omsp::race

@@ -29,7 +29,6 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <cstdlib>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -194,17 +193,6 @@ public:
       return asymmetric(procs);
     }
     return std::nullopt;
-  }
-
-  // Resolve OMSP_TOPOLOGY from the environment; `fallback` when unset. A set
-  // but malformed value is a hard error — a silent fallback would quietly
-  // bench the wrong machine.
-  static Topology from_env_or(const Topology& fallback) {
-    const char* env = std::getenv("OMSP_TOPOLOGY");
-    if (env == nullptr || *env == '\0') return fallback;
-    std::optional<Topology> t = parse(env);
-    OMSP_CHECK(t.has_value());
-    return *t;
   }
 
   // Canonical spec string ("sp2", "flat:64x4", ...). Used as the JSON key

@@ -12,6 +12,8 @@
 
 #include <cstddef>
 #include <optional>
+#include <string>
+#include <string_view>
 
 #include "common/check.hpp"
 #include "common/mathutil.hpp"
@@ -60,48 +62,49 @@ struct Config {
 
   Protocol protocol = Protocol::kLazyRC;
 
-  // Structured protocol tracing (docs/OBSERVABILITY.md). Off by default; the
-  // OMSP_TRACE_BIN / OMSP_TRACE_JSON environment variables override this at
-  // DsmSystem construction when trace.enabled is false.
+  // The features below are off (or central) by default. OMSP_CONFIG turns
+  // them on without touching code: DsmSystem applies it through with_env().
+
+  // Structured protocol tracing (docs/OBSERVABILITY.md).
   trace::Options trace;
 
   // Seeded transport fault injection (net::PerturbingTransport): latency
-  // jitter, bounded reordering of notifications and duplicate delivery. Off
-  // by default; OMSP_PERTURB_SEED=<n> overrides at DsmSystem construction
-  // when perturb.enabled is false.
+  // jitter, bounded reordering of notifications, duplicate delivery and
+  // per-link loss.
   net::PerturbOptions perturb;
 
   // Overlapped communication (net::QueuedTransport): concurrent per-creator
   // diff fetches and barrier-time batched prefetch. Off by default so the
-  // InlineTransport seed semantics stay bit-for-bit; OMSP_OVERLAP=1
-  // overrides at DsmSystem construction when overlap.enabled is false.
-  // Only the lazy-RC protocol has overlapped paths; home-based fetches stay
-  // synchronous.
+  // InlineTransport seed semantics stay bit-for-bit. Only the lazy-RC
+  // protocol has overlapped paths; home-based fetches stay synchronous.
   net::OverlapOptions overlap;
-
-  // Zero-copy intra-node delivery (net::ZeroCopyOptions): same-node diff and
-  // page payloads are parsed as views into the delivered buffer instead of
-  // deserialized copies. Wall-clock only — modeled times and all pre-existing
-  // counters are bit-for-bit identical either way. Off by default;
-  // OMSP_ZEROCOPY=off|on|<bytes> overrides at DsmSystem construction when
-  // zerocopy.enabled is false.
-  net::ZeroCopyOptions zerocopy;
 
   // Collective engine (coll::Schedule): central keeps the seed's
   // manager-based barrier bit-for-bit; tree reduces arrivals up the
   // topology-derived leader tree and broadcasts departures down it
-  // (docs/PROTOCOL.md "Hierarchical collectives"). Central by default;
-  // OMSP_COLL=central|tree|tree:<bytes> overrides at DsmSystem construction
-  // when coll.tree is false.
+  // (docs/PROTOCOL.md "Hierarchical collectives").
   coll::Options coll;
 
   // Data-race detection (race::Detector): vector-clock concurrency checks
   // over flushed diffs, swept at barriers and joins (docs/PROTOCOL.md "Race
-  // detection under lazy release consistency"). Off by default — with the
-  // detector off every modeled number stays bit-for-bit identical to the
-  // seed; OMSP_RACE=off|page|word overrides at DsmSystem construction when
-  // race.enabled() is false.
+  // detection under lazy release consistency"). With the detector off every
+  // modeled number stays bit-for-bit identical to the seed.
   race::Options race;
+
+  // The OMSP_CONFIG grammar (common/env_config.hpp): the Config a config
+  // string describes, every field no key sets left at its default.
+  // Malformed input is an OMSP_CHECK failure naming the key.
+  static Config parse(std::string_view spec);
+
+  // The canonical config string: `topo` always, every other key only when
+  // its feature is on, in kConfigKeys order; parse(to_string()) gives back
+  // the same string. Fields no key reaches (mode, cost, the overlap
+  // sub-masks, hand-set perturbation rates) are not part of it.
+  std::string to_string() const;
+
+  // This config with OMSP_CONFIG applied the way DsmSystem applies it: every
+  // key except `topo` fills in a feature this config left at its default.
+  Config with_env() const;
 
   bool use_alias_mapping() const {
     return alias_mapping.value_or(mode == Mode::kThread);

@@ -223,17 +223,12 @@ void DsmContext::fetch_and_apply(PageId p, std::unique_lock<std::mutex>& lock) {
     IntervalSeq have;
     IntervalSeq want;
   };
-  // One fetched diff awaiting the final vt-sorted apply. `view` points at
-  // the diff payload: into `owned` on the copy path (vector moves preserve
-  // the heap pointer, so the span survives got.push_back), or into the
-  // shared reply buffer kept alive by `backing` on the zero-copy path.
+  // One fetched diff awaiting the final vt-sorted apply.
   struct Got {
     std::uint64_t vtsum;
     IntervalSeq seq;
     ContextId creator;
-    DiffBytes owned;
-    std::shared_ptr<std::vector<std::uint8_t>> backing;
-    std::span<const std::uint8_t> view;
+    DiffBytes diff;
   };
 
   // Collect every diff first, apply once at the end: applying per fetch
@@ -245,46 +240,25 @@ void DsmContext::fetch_and_apply(PageId p, std::unique_lock<std::mutex>& lock) {
 
   // Parse one kDiffRequest reply (shared by the sync and async rounds):
   // apply the piggybacked records, park the diffs in `got`, return the
-  // highest interval tag now in hand. When the reply is zero-copy eligible
-  // the vector moves into a shared backing and every diff payload is a view
-  // into it — the serialize/deserialize round-trip's receive copy is
-  // skipped; otherwise each diff is copied out exactly as before. Called
-  // with no page lock held (apply_records takes page locks).
-  auto parse_reply = [&](std::vector<std::uint8_t>&& reply, ContextId creator,
-                         IntervalSeq have) -> IntervalSeq {
-    std::shared_ptr<std::vector<std::uint8_t>> backing;
-    const bool zc = zerocopy_eligible(creator, reply.size());
-    if (zc)
-      backing = std::make_shared<std::vector<std::uint8_t>>(std::move(reply));
-    ByteReader r(zc ? *backing : reply);
+  // highest interval tag now in hand. Called with no page lock held
+  // (apply_records takes page locks).
+  auto parse_reply = [&](const std::vector<std::uint8_t>& reply,
+                         ContextId creator, IntervalSeq have) -> IntervalSeq {
+    ByteReader r(reply);
     auto recs = deserialize_records(r);
     if (!recs.empty())
       apply_records(recs, /*sync=*/false); // data piggyback, no page lock
     const auto floor = r.get<IntervalSeq>();
     const auto count = r.get<std::uint32_t>();
     IntervalSeq maxseq = std::max(have, floor);
-    std::uint64_t viewed = 0;
     for (std::uint32_t j = 0; j < count; ++j) {
       Got g;
       g.seq = r.get<IntervalSeq>();
       g.vtsum = r.get<std::uint64_t>();
       g.creator = creator;
-      if (zc) {
-        const auto n = r.get<std::uint32_t>();
-        g.view = r.view_bytes(n);
-        g.backing = backing;
-        viewed += n;
-      } else {
-        g.owned = r.get_span<std::uint8_t>();
-        g.view = g.owned;
-      }
+      g.diff = r.get_span<std::uint8_t>();
       maxseq = std::max(maxseq, g.seq);
       got.push_back(std::move(g));
-    }
-    if (zc) {
-      stats_->add(Counter::kZeroCopyDeliveries);
-      stats_->add(Counter::kZeroCopyBytes, viewed);
-      OMSP_TRACE_EVENT(kZeroCopyDeliver, id_, creator, viewed);
     }
     return maxseq;
   };
@@ -337,11 +311,9 @@ void DsmContext::fetch_and_apply(PageId p, std::unique_lock<std::mutex>& lock) {
             ready = std::max(ready, ent.ready_us);
             for (auto& d : ent.diffs) {
               if (d.seq <= nd.have) continue; // stale: already applied
-              used_bytes += d.view.size();
+              used_bytes += d.diff.size();
               maxseq = std::max(maxseq, d.seq);
-              got.push_back(Got{d.vt_sum, d.seq, nd.creator,
-                                std::move(d.owned), std::move(d.backing),
-                                d.view});
+              got.push_back(Got{d.vt_sum, d.seq, nd.creator, std::move(d.diff)});
             }
           }
           if (!matched) {
@@ -418,8 +390,7 @@ void DsmContext::fetch_and_apply(PageId p, std::unique_lock<std::mutex>& lock) {
         auto reply = pendings[i].wait_at(&complete); // no clock advance yet
         last_complete = std::max(last_complete, complete);
         total_bytes += reply.size();
-        const IntervalSeq maxseq =
-            parse_reply(std::move(reply), need.creator, need.have);
+        const IntervalSeq maxseq = parse_reply(reply, need.creator, need.have);
         std::lock_guard<std::mutex> tl(table_mutex_);
         IntervalSeq& a = applied_[std::size_t{p} * nc_ + need.creator];
         a = std::max(a, maxseq);
@@ -447,8 +418,7 @@ void DsmContext::fetch_and_apply(PageId p, std::unique_lock<std::mutex>& lock) {
                          router_.same_node(id_, need.creator)
                              ? std::uint16_t{0}
                              : trace::kFlagOffNode);
-        const IntervalSeq maxseq =
-            parse_reply(std::move(reply), need.creator, need.have);
+        const IntervalSeq maxseq = parse_reply(reply, need.creator, need.have);
         {
           std::lock_guard<std::mutex> tl(table_mutex_);
           IntervalSeq& a = applied_[std::size_t{p} * nc_ + need.creator];
@@ -476,10 +446,10 @@ void DsmContext::fetch_and_apply(PageId p, std::unique_lock<std::mutex>& lock) {
     std::uint8_t* dst = heap_.runtime_page(p);
     auto* clock = sim::VirtualClock::current();
     for (const Got& g : got) {
-      apply_diff(g.view, dst);
+      apply_diff(g.diff, dst);
       OMSP_PTRACE(p,
                   "apply diff creator=%u seq=%u bytes=%zu vtsum=%llu -> val=%ld",
-                  g.creator, g.seq, g.view.size(),
+                  g.creator, g.seq, g.diff.size(),
                   static_cast<unsigned long long>(g.vtsum),
                   reinterpret_cast<const long*>(dst)[trace_off() / 8]);
       // A locally-dirty page must absorb remote diffs into its twin as well:
@@ -487,16 +457,16 @@ void DsmContext::fetch_and_apply(PageId p, std::unique_lock<std::mutex>& lock) {
       // under its own (possibly concurrent) interval, and a third context
       // could apply that stale copy over a newer write. With the twin kept
       // current, local diffs contain local writes only.
-      if (meta.twin != nullptr) apply_diff(g.view, meta.twin.get());
+      if (meta.twin != nullptr) apply_diff(g.diff, meta.twin.get());
       // The race baseline absorbs the same remote bytes: they are not this
       // context's writes and must never surface in its collection delta.
-      if (meta.race_twin != nullptr) apply_diff(g.view, meta.race_twin.get());
+      if (meta.race_twin != nullptr) apply_diff(g.diff, meta.race_twin.get());
       stats_->add(Counter::kDiffsApplied);
-      OMSP_TRACE_EVENT(kDiffApply, id_, p, g.view.size());
+      OMSP_TRACE_EVENT(kDiffApply, id_, p, g.diff.size());
       if (clock != nullptr)
         clock->charge(config_.cost.diff_apply_base_us +
                       config_.cost.diff_byte_us *
-                          static_cast<double>(g.view.size()));
+                          static_cast<double>(g.diff.size()));
     }
   }
   meta.fetch_in_progress = false;
@@ -508,25 +478,11 @@ void DsmContext::handle(ContextId src, net::MsgType type, ByteReader& request,
   if (type == net::MsgType::kDiffToHome) {
     const auto p = request.get<PageId>();
     OMSP_CHECK(home_of(p) == id_);
-    // The request buffer outlives this handler (both transports keep it
-    // alive across handle()), so an eligible same-node diff is applied
-    // straight out of the sender's serialized bytes.
-    std::span<const std::uint8_t> bytes;
-    DiffBytes copied;
-    if (zerocopy_eligible(src, request.remaining())) {
-      const auto n = request.get<std::uint32_t>();
-      bytes = request.view_bytes(n);
-      stats_->add(Counter::kZeroCopyDeliveries);
-      stats_->add(Counter::kZeroCopyBytes, bytes.size());
-      OMSP_TRACE_EVENT(kZeroCopyDeliver, id_, src, bytes.size());
-    } else {
-      copied = request.get_span<std::uint8_t>();
-      bytes = copied;
-    }
+    const DiffBytes diff = request.get_span<std::uint8_t>();
     std::lock_guard<std::mutex> pl(page_lock(p));
-    apply_bytes_at_home(p, bytes.data(), bytes.size(), /*full_page=*/false);
+    apply_bytes_at_home(p, diff.data(), diff.size(), /*full_page=*/false);
     stats_->add(Counter::kDiffsApplied);
-    OMSP_TRACE_EVENT(kDiffApply, id_, p, bytes.size());
+    OMSP_TRACE_EVENT(kDiffApply, id_, p, diff.size());
     return;
   }
   if (type == net::MsgType::kPageRequest) {
@@ -740,19 +696,7 @@ void DsmContext::fetch_from_home(PageId p,
     lock.lock();
 
     ByteReader r(reply);
-    std::span<const std::uint8_t> page_bytes;
-    std::vector<std::uint8_t> page_copy; // keeps the copy-path bytes alive
-    if (zerocopy_eligible(home_of(p), reply.size())) {
-      // The view aliases `reply`, which outlives every use below.
-      const auto n = r.get<std::uint32_t>();
-      page_bytes = r.view_bytes(n);
-      stats_->add(Counter::kZeroCopyDeliveries);
-      stats_->add(Counter::kZeroCopyBytes, page_bytes.size());
-      OMSP_TRACE_EVENT(kZeroCopyDeliver, id_, home_of(p), page_bytes.size());
-    } else {
-      page_copy = r.get_span<std::uint8_t>();
-      page_bytes = page_copy;
-    }
+    const auto page_bytes = r.get_span<std::uint8_t>();
     OMSP_CHECK(page_bytes.size() == kPageSize);
     // As in fetch_and_apply: the write-enable is this application thread's
     // own modeled mprotect; the installation writes go through the runtime
@@ -1331,13 +1275,9 @@ void DsmContext::start_prefetch_round() {
 
 void DsmContext::absorb_batch_reply(PrefetchBatch& batch) {
   double complete = 0;
-  auto reply = batch.reply.wait_at(&complete); // no clock advance: the wait
-  // is charged when (if) a fetch session drains the entry, via ready_us.
-  std::shared_ptr<std::vector<std::uint8_t>> backing;
-  const bool zc = zerocopy_eligible(batch.creator, reply.size());
-  if (zc)
-    backing = std::make_shared<std::vector<std::uint8_t>>(std::move(reply));
-  ByteReader r(zc ? *backing : reply);
+  const auto reply = batch.reply.wait_at(&complete); // no clock advance: the
+  // wait is charged when (if) a fetch session drains the entry, via ready_us.
+  ByteReader r(reply);
   auto recs = deserialize_records(r);
   if (!recs.empty())
     apply_records(recs, /*sync=*/false); // data piggyback; takes page locks
@@ -1346,7 +1286,6 @@ void DsmContext::absorb_batch_reply(PrefetchBatch& batch) {
                  "batch reply page count mismatch");
   std::vector<std::pair<PageId, PrefetchEntry>> parsed;
   parsed.reserve(npages);
-  std::uint64_t viewed = 0;
   for (std::uint32_t i = 0; i < npages; ++i) {
     const auto p = r.get<PageId>();
     OMSP_CHECK_MSG(p == batch.pages[i].first,
@@ -1363,23 +1302,10 @@ void DsmContext::absorb_batch_reply(PrefetchBatch& batch) {
     for (auto& d : e.diffs) {
       d.seq = r.get<IntervalSeq>();
       d.vt_sum = r.get<std::uint64_t>();
-      if (zc) {
-        const auto n = r.get<std::uint32_t>();
-        d.view = r.view_bytes(n);
-        d.backing = backing;
-        viewed += n;
-      } else {
-        d.owned = r.get_span<std::uint8_t>();
-        d.view = d.owned;
-      }
+      d.diff = r.get_span<std::uint8_t>();
       e.covers = std::max(e.covers, d.seq);
     }
     parsed.emplace_back(p, std::move(e));
-  }
-  if (zc) {
-    stats_->add(Counter::kZeroCopyDeliveries);
-    stats_->add(Counter::kZeroCopyBytes, viewed);
-    OMSP_TRACE_EVENT(kZeroCopyDeliver, id_, batch.creator, viewed);
   }
   std::lock_guard<std::mutex> pm(prefetch_mutex_);
   for (auto& [p, e] : parsed) prefetch_buffer_[p].push_back(std::move(e));

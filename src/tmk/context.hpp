@@ -55,7 +55,6 @@
 #include <map>
 #include <mutex>
 #include <optional>
-#include <span>
 #include <unordered_map>
 #include <vector>
 
@@ -185,7 +184,7 @@ public:
   // buffered is stale by then.
   void clear_prefetch_buffer();
 
-  // --- data-race detection (OMSP_RACE) ---------------------------------------
+  // --- data-race detection (Config::race) ------------------------------------
   // Wire the system-owned detector in; every flush and fault hook feeds it.
   // nullptr (the default) keeps all hooks inert.
   void set_race_detector(race::Detector* d) { race_ = d; }
@@ -270,28 +269,12 @@ private:
 
   std::uint64_t vt_sum_of_own(IntervalSeq seq);
 
-  // True when a payload of `payload_bytes` arriving from `peer` may be
-  // handed over as a view instead of a deserialized copy: zero-copy enabled,
-  // same physical node (stage-0 adjacency in sim::Topology), and at least
-  // the configured switchover threshold.
-  bool zerocopy_eligible(ContextId peer, std::size_t payload_bytes) const {
-    return config_.zerocopy.enabled &&
-           payload_bytes >= config_.zerocopy.threshold_bytes &&
-           router_.same_node(id_, peer);
-  }
-
   // --- overlapped-fetch internals -------------------------------------------
   // One diff as shipped on the wire, parked until a fetch session drains it.
-  // `view` always points at the diff payload; on the copy path it views
-  // `owned`, on the zero-copy path it views the shared reply buffer kept
-  // alive by `backing` (moving `owned` preserves its heap pointer, so views
-  // survive container moves either way).
   struct BufferedDiff {
     IntervalSeq seq = 0;
     std::uint64_t vt_sum = 0;
-    DiffBytes owned;
-    std::shared_ptr<std::vector<std::uint8_t>> backing;
-    std::span<const std::uint8_t> view;
+    DiffBytes diff;
   };
   // Prefetched state for one (page, creator) pair. `floor` is the creator's
   // last_listed_ answer (lets the drain advance applied_ even when no diffs

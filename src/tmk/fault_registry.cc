@@ -28,7 +28,7 @@ struct Region {
 // An entry is published by writing `target` last and retired by clearing
 // `target` first.
 // Sized for the topology sweeps: process mode registers one region per
-// context, and OMSP_TOPOLOGY can ask for hundreds of nodes (flat:256x2 in
+// context, and a topology spec can ask for hundreds of nodes (flat:256x2 in
 // process mode = 512 contexts). The handler's scan stays cheap — the table
 // is ~24 bytes per entry and live entries cluster at the front.
 constexpr std::size_t kMaxRegions = 1024;

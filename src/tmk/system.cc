@@ -23,18 +23,18 @@ const std::size_t kLockGrantHeaderBytes =
 Rank DsmSystem::current_rank() { return t_current_rank; }
 
 DsmSystem::DsmSystem(Config config)
-    : config_(config), allocator_(config.heap_bytes) {
+    : config_(config.with_env()), allocator_(config.heap_bytes) {
   config_.validate();
   const std::uint32_t nc = config_.num_contexts();
   const std::uint32_t np = config_.topology.nprocs();
 
   // Install the tracer before any context exists so construction-time
-  // protocol activity is captured. Environment variables provide an
-  // code-free enable when the Config leaves tracing off.
-  trace::Options topt = config_.trace;
-  if (!topt.enabled) topt = trace::Options::from_env();
-  if (topt.enabled) {
-    tracer_ = std::make_unique<trace::Tracer>(topt);
+  // protocol activity is captured. Its header names the configuration the
+  // trace was recorded under.
+  if (config_.trace.enabled) {
+    trace::Options topt = config_.trace;
+    topt.run_config = config_.to_string();
+    tracer_ = std::make_unique<trace::Tracer>(std::move(topt));
     if (!tracer_->install()) tracer_.reset(); // another system is tracing
   }
 
@@ -46,35 +46,15 @@ DsmSystem::DsmSystem(Config config)
 
   // Optional layers below the protocol, stacked bottom-up: the queued
   // transport (overlapped delivery) wraps the inline one, and fault
-  // injection wraps whichever of those is active. Both are Config-plumbed
-  // with environment variables (OMSP_OVERLAP=1, OMSP_PERTURB_SEED=<n>) as
-  // code-free enables, mirroring tracing above. The resolved overlap options
-  // are written back into config_ before any context is constructed so
-  // DsmContext's gating sees them.
-  net::PerturbOptions perturb = config_.perturb;
-  if (!perturb.enabled) perturb = net::PerturbOptions::from_env();
-  config_.perturb = perturb;
-  net::OverlapOptions overlap = config_.overlap;
-  if (!overlap.enabled) overlap = net::OverlapOptions::from_env();
-  config_.overlap = overlap;
-  // Collective engine selection follows the same pattern (OMSP_COLL as the
-  // code-free enable); resolved before any barrier can run.
-  if (!config_.coll.tree) config_.coll = coll::Options::from_env();
-  // Zero-copy intra-node delivery, same pattern (OMSP_ZEROCOPY); resolved
-  // before any context is constructed so every fetch path sees one answer.
-  if (!config_.zerocopy.enabled)
-    config_.zerocopy = net::ZeroCopyOptions::from_env();
-  // Data-race detection, same pattern (OMSP_RACE); resolved before any
-  // context is constructed so every fault/flush hook sees one answer.
-  if (!config_.race.enabled()) config_.race = race::Options::from_env();
-  if (overlap.enabled || perturb.enabled) {
+  // injection wraps whichever of those is active.
+  if (config_.overlap.enabled || config_.perturb.enabled) {
     std::unique_ptr<net::Transport> t =
         std::make_unique<net::InlineTransport>(*router_);
-    if (overlap.enabled)
+    if (config_.overlap.enabled)
       t = std::make_unique<net::QueuedTransport>(std::move(t), *router_);
-    if (perturb.enabled)
+    if (config_.perturb.enabled)
       t = std::make_unique<net::PerturbingTransport>(std::move(t), *router_,
-                                                     perturb);
+                                                     config_.perturb);
     router_->set_transport(std::move(t));
   }
 

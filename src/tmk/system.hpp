@@ -107,7 +107,8 @@ public:
   // The tracer owned by this system, or nullptr when tracing is off (or
   // another DsmSystem already holds the process-global tracer slot).
   trace::Tracer* tracer() { return tracer_.get(); }
-  // The data-race detector, or nullptr when OMSP_RACE is off (the default).
+  // The data-race detector, or nullptr when race detection is off (the
+  // default).
   race::Detector* race_detector() { return race_.get(); }
 
 private:

@@ -79,16 +79,8 @@ enum class EventKind : std::uint16_t {
                      // ctx = the sender (kCollStages += 1,
                      // kCollBytes += arg0). The message's own kMessage event
                      // is emitted by account() like any wire message.
-  kZeroCopyDeliver,  // counter-bearing: one same-node payload handed to the
-                     // receiver as a view into the delivered buffer instead
-                     // of a deserialize copy (OMSP_ZEROCOPY); arg0 = peer
-                     // ctx the payload came from, arg1 = bytes viewed;
-                     // ctx = the receiver (kZeroCopyDeliveries += 1,
-                     // kZeroCopyBytes += arg1). Wall-clock only: the
-                     // message's own accounting and modeled costs are
-                     // emitted unchanged by the copy-path sites.
   kRaceCheck,        // counter-bearing: one detector sweep that ran at least
-                     // one pairwise concurrency check (OMSP_RACE); arg0 =
+                     // one pairwise concurrency check (Config::race); arg0 =
                      // pair checks performed, arg1 = write entries swept;
                      // ctx = 0 (the sweep runs at a quiescent point)
                      // (kRaceChecks += arg0)
@@ -128,8 +120,7 @@ inline const char* event_name(EventKind k) {
                "region_begin",   "region_end",   "diff_fetch_async",
                "prefetch_batch", "prefetch_hit", "message_lost",
                "retransmit",     "ack",          "coll_stage",
-               "zerocopy_deliver", "race_check", "race_detected",
-               "contention_wait"};
+               "race_check",     "race_detected", "contention_wait"};
   return names[static_cast<std::size_t>(k)];
 }
 

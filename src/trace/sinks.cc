@@ -13,11 +13,13 @@ namespace omsp::trace {
 
 std::vector<std::uint8_t> encode_trace(const std::vector<Event>& events,
                                        std::uint64_t dropped,
+                                       const std::string& config,
                                        const StatsSnapshot& stats) {
-  ByteWriter w(64 + events.size() * kEventWireBytes);
+  ByteWriter w(64 + config.size() + events.size() * kEventWireBytes);
   w.put_bytes(kTraceMagic, sizeof kTraceMagic);
   w.put<std::uint32_t>(kTraceVersion);
   w.put<std::uint64_t>(dropped);
+  w.put_string(config);
   const auto ncounters = static_cast<std::uint32_t>(Counter::kCount);
   w.put<std::uint32_t>(ncounters);
   for (std::uint32_t i = 0; i < ncounters; ++i) {
@@ -40,6 +42,7 @@ TraceFile decode_trace(const std::uint8_t* data, std::size_t size) {
 
   TraceFile tf;
   tf.dropped = r.get<std::uint64_t>();
+  tf.config = r.get_string();
   const auto ncounters = r.get<std::uint32_t>();
   for (std::uint32_t i = 0; i < ncounters; ++i) {
     std::string name = r.get_string();
@@ -58,8 +61,9 @@ TraceFile decode_trace(const std::uint8_t* data, std::size_t size) {
 }
 
 void write_binary(const std::string& path, const std::vector<Event>& events,
-                  std::uint64_t dropped, const StatsSnapshot& stats) {
-  const auto bytes = encode_trace(events, dropped, stats);
+                  std::uint64_t dropped, const std::string& config,
+                  const StatsSnapshot& stats) {
+  const auto bytes = encode_trace(events, dropped, config, stats);
   std::FILE* f = std::fopen(path.c_str(), "wb");
   OMSP_CHECK_MSG(f != nullptr, "cannot open trace file for writing");
   const std::size_t n = std::fwrite(bytes.data(), 1, bytes.size(), f);
@@ -290,10 +294,6 @@ StatsSnapshot reconstruct_counters(const std::vector<Event>& events) {
       s[Counter::kCollStages] += 1;
       s[Counter::kCollBytes] += e.arg0;
       break;
-    case EventKind::kZeroCopyDeliver:
-      s[Counter::kZeroCopyDeliveries] += 1;
-      s[Counter::kZeroCopyBytes] += e.arg1;
-      break;
     case EventKind::kRaceCheck:
       s[Counter::kRaceChecks] += e.arg0;
       break;
@@ -321,7 +321,8 @@ StatsSnapshot reconstruct_counters(const std::vector<Event>& events) {
 void Tracer::finish(const StatsSnapshot& stats) {
   drain_all();
   if (!opts_.binary_path.empty())
-    write_binary(opts_.binary_path, collected_, dropped_total(), stats);
+    write_binary(opts_.binary_path, collected_, dropped_total(),
+                 opts_.run_config, stats);
   if (!opts_.json_path.empty()) write_chrome_json(opts_.json_path, collected_);
 }
 

@@ -2,7 +2,8 @@
 //
 // Two on-disk formats:
 //  * Binary (`.trace`) — the authoritative record: a small header (magic,
-//    version, drop count), the StatsSnapshot at finish time (name/value
+//    version, drop count, the run's config string), the StatsSnapshot at
+//    finish time (name/value
 //    pairs, so the file is self-describing even if counters change), and the
 //    fixed-width event stream. `omsp-trace` consumes this.
 //  * Chrome trace_event JSON — opens directly in Perfetto / chrome://tracing
@@ -34,21 +35,24 @@ inline constexpr char kTraceMagic[8] = {'O', 'M', 'S', 'P',
 // and the msgs_lost/retransmits/acks_sent counters (lossy transport).
 // Version 5: adds the hierarchical-collectives kind kCollStage (arg0 = wire
 // bytes, arg1 = (level<<32)|leader) and the coll_stages/coll_bytes counters.
-// Version 6: adds the zero-copy intra-node delivery kind kZeroCopyDeliver
-// (arg0 = peer ctx, arg1 = bytes viewed) and the zerocopy_deliveries/
-// zerocopy_bytes counters (OMSP_ZEROCOPY).
+// Version 6: adds a zero-copy delivery kind and two counters (removed again
+// in version 9).
 // Version 7: adds the data-race detector kinds kRaceCheck (arg0 = pair
 // checks, arg1 = entries swept) and kRaceDetected (arg0 = (page<<32)|
 // (lo<<16)|hi, arg1 = packed writer ctxs + interval seqs) and the
-// race_checks/races_detected counters (OMSP_RACE).
+// race_checks/races_detected counters (Config::race).
 // Version 8: adds the per-stage congestion kind kContentionWait (arg0 =
 // topology stage, arg1 = packed segment key, dur = modeled wait) and the
 // contention_stage_waits counter (stage-aware link busy windows).
-inline constexpr std::uint32_t kTraceVersion = 8;
+// Version 9: drops the zero-copy kind and its counters (kinds after it
+// renumber), and the header carries the run's canonical config string
+// (tmk::Config::to_string) after the drop count.
+inline constexpr std::uint32_t kTraceVersion = 9;
 
 struct TraceFile {
   std::vector<Event> events;
   std::uint64_t dropped = 0;   // events lost to full rings while recording
+  std::string config;          // the run's config string ("" if not given)
   StatsSnapshot stats;         // counters embedded at finish time
   std::vector<std::pair<std::string, std::uint64_t>> raw_counters; // as stored
 };
@@ -56,12 +60,14 @@ struct TraceFile {
 // Serialize / parse the binary container (in-memory; tests use these).
 std::vector<std::uint8_t> encode_trace(const std::vector<Event>& events,
                                        std::uint64_t dropped,
+                                       const std::string& config,
                                        const StatsSnapshot& stats);
 TraceFile decode_trace(const std::uint8_t* data, std::size_t size);
 
 // File variants. Readers abort (OMSP_CHECK) on malformed input.
 void write_binary(const std::string& path, const std::vector<Event>& events,
-                  std::uint64_t dropped, const StatsSnapshot& stats);
+                  std::uint64_t dropped, const std::string& config,
+                  const StatsSnapshot& stats);
 TraceFile read_binary(const std::string& path);
 
 // Chrome trace_event JSON (the "traceEvents" object form Perfetto accepts).

@@ -1,6 +1,7 @@
 // omsp-trace — analyzer CLI for omsp binary traces.
 //
-//   omsp-trace summary <run.trace>            event census + audit verdict
+//   omsp-trace summary <run.trace>            event census + audit verdict +
+//                                             the run's config string
 //   omsp-trace pages   <run.trace> [--top N]  per-page fault/diff heatmap
 //   omsp-trace threads <run.trace>            per-rank virtual-time breakdown
 //   omsp-trace races   <run.trace>            data-race report digest (v7)
@@ -204,7 +205,7 @@ void cmd_pages(const TraceFile& tf, std::size_t top) {
 
 // ---------------------------------------------------------------------------
 
-// Digest of the vector-clock detector's output (OMSP_RACE traces, v7): sweep
+// Digest of the vector-clock detector's output (race=page|word traces): sweep
 // totals, then one row per distinct (page, writer pair) with the merged byte
 // range — the shape a user needs to map a report back to a data structure.
 // Exit status mirrors the verdict so scripts can assert "race-clean".
@@ -238,7 +239,7 @@ int cmd_races(const TraceFile& tf) {
   }
   if (sweeps == 0) {
     std::printf("no detector sweeps in this trace — was it recorded with "
-                "OMSP_RACE=page|word?\n");
+                "race=page|word in OMSP_CONFIG?\n");
     return 2;
   }
   std::printf("%" PRIu64 " detector sweeps, %" PRIu64 " pairwise checks over %"
@@ -448,6 +449,7 @@ int main(int argc, char** argv) {
   if (cmd == "summary") {
     cmd_summary(tf);
     const bool ok = audit(tf, /*verbose=*/false);
+    std::printf("\nconfig: %s\n", tf.config.c_str());
     return ok ? 0 : 1;
   }
   if (cmd == "pages") {

@@ -1,7 +1,5 @@
 #include "trace/tracer.hpp"
 
-#include <cstdlib>
-
 namespace omsp::trace {
 
 namespace {
@@ -27,19 +25,6 @@ std::size_t round_up_pow2(std::size_t n) {
 } // namespace
 
 std::atomic<Tracer*> Tracer::g_active{nullptr};
-
-Options Options::from_env() {
-  Options o;
-  if (const char* bin = std::getenv("OMSP_TRACE_BIN"); bin != nullptr) {
-    o.binary_path = bin;
-    o.enabled = true;
-  }
-  if (const char* json = std::getenv("OMSP_TRACE_JSON"); json != nullptr) {
-    o.json_path = json;
-    o.enabled = true;
-  }
-  return o;
-}
 
 Ring::Ring(std::size_t capacity) {
   capacity = round_up_pow2(capacity < 2 ? 2 : capacity);

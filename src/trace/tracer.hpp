@@ -48,10 +48,10 @@ struct Options {
   // Sink paths written at system shutdown; empty = skip that sink.
   std::string binary_path; // raw events + embedded StatsSnapshot (omsp-trace)
   std::string json_path;   // Chrome trace_event JSON (Perfetto/chrome://tracing)
-
-  // Environment fallback: OMSP_TRACE_BIN=<path> / OMSP_TRACE_JSON=<path>
-  // enable tracing with the given sink(s) without touching code.
-  static Options from_env();
+  // The canonical config string of the run (tmk::Config::to_string), stamped
+  // into the binary header. DsmSystem fills it in; a tracer a caller
+  // installs directly leaves it empty.
+  std::string run_config;
 };
 
 // SPSC ring: the owning thread pushes, the quiescent-point drainer pops.

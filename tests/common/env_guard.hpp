@@ -1,44 +1,33 @@
 // Tests that compare a reference run against a feature run (or one run
 // against another) rely on the reference really being the seed
-// configuration. The CI matrix exports OMSP_OVERLAP=1 / OMSP_PERTURB_SEED=<n>,
-// which DsmSystem consults whenever the Config leaves the feature off —
-// silently flipping the reference run. Instantiate a ScopedEnvClear to
-// neutralize the overrides for the test's scope; the destructor restores
-// the outer values.
+// configuration. The CI config matrix exports OMSP_CONFIG (perturb=1,
+// coll=tree;loss=0.05, ...), which DsmSystem and MpiWorld consult whenever
+// the code leaves a feature at its default — silently flipping the
+// reference run. Instantiate a ScopedEnvClear to unset OMSP_CONFIG for the
+// test's scope; the destructor restores the outer value.
 #pragma once
 
 #include <cstdlib>
 #include <optional>
 #include <string>
-#include <utility>
-#include <vector>
 
 namespace omsp::test {
 
 class ScopedEnvClear {
 public:
   ScopedEnvClear() {
-    for (const char* n : {"OMSP_OVERLAP", "OMSP_OVERLAP_FETCH",
-                          "OMSP_OVERLAP_PREFETCH", "OMSP_PERTURB_SEED",
-                          "OMSP_LOSS_PROB", "OMSP_COLL", "OMSP_ZEROCOPY",
-                          "OMSP_RACE", "OMSP_TOPOLOGY"}) {
-      const char* v = std::getenv(n);
-      saved_.emplace_back(n, v != nullptr ? std::optional<std::string>(v)
-                                          : std::nullopt);
-      ::unsetenv(n);
-    }
+    if (const char* v = std::getenv("OMSP_CONFIG"); v != nullptr) saved_ = v;
+    ::unsetenv("OMSP_CONFIG");
   }
   ~ScopedEnvClear() {
-    for (const auto& [n, v] : saved_) {
-      if (v.has_value()) ::setenv(n.c_str(), v->c_str(), 1);
-      else ::unsetenv(n.c_str());
-    }
+    if (saved_.has_value()) ::setenv("OMSP_CONFIG", saved_->c_str(), 1);
+    else ::unsetenv("OMSP_CONFIG");
   }
   ScopedEnvClear(const ScopedEnvClear&) = delete;
   ScopedEnvClear& operator=(const ScopedEnvClear&) = delete;
 
 private:
-  std::vector<std::pair<std::string, std::optional<std::string>>> saved_;
+  std::optional<std::string> saved_;
 };
 
 } // namespace omsp::test

@@ -67,17 +67,6 @@ TEST(Serialize, MixedSequence) {
   EXPECT_TRUE(r.done());
 }
 
-TEST(Serialize, ViewBytesBorrows) {
-  ByteWriter w;
-  w.put<std::uint32_t>(4);
-  w.put_bytes("abcd", 4);
-  ByteReader r(w.bytes());
-  (void)r.get<std::uint32_t>();
-  auto view = r.view_bytes(4);
-  EXPECT_EQ(std::memcmp(view.data(), "abcd", 4), 0);
-  EXPECT_TRUE(r.done());
-}
-
 TEST(SerializeDeath, UnderflowAborts) {
   ByteWriter w;
   w.put<std::uint16_t>(1);

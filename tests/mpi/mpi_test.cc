@@ -394,7 +394,7 @@ TEST(MpiColl, FusedAllreduceFlatExactCost) {
   // result back out — every rank finishes at exactly 2h. The old
   // reduce-then-bcast chained two binomial trees (2 * ceil(log2 p) = 4
   // dependent hops for p=4), so this pins the latency halving.
-  const test::ScopedEnvClear env_guard; // CI matrices export OMSP_COLL
+  const test::ScopedEnvClear env_guard; // the CI matrix exports OMSP_CONFIG
   sim::CostModel m = sim::CostModel::sp2_default();
   m.cpu_scale = 0; // makespan is a pure model output
   const auto topo = sim::Topology::flat_switch(4, 1);
@@ -409,6 +409,20 @@ TEST(MpiColl, FusedAllreduceFlatExactCost) {
   EXPECT_DOUBLE_EQ(w.makespan_us(), 2 * h);
   // Star both ways: 2 * (p - 1) messages, same count as reduce + bcast.
   EXPECT_EQ(w.stats()[Counter::kMsgsSent], 6u);
+}
+
+TEST(MpiColl, ConfigCollKeySelectsEngine) {
+  // MpiWorld reads only `coll` from OMSP_CONFIG; the DSM's keys in the same
+  // string are validated but inert here.
+  const test::ScopedEnvClear env_guard;
+  ::setenv("OMSP_CONFIG", "race=page;coll=tree:2048", 1);
+  const MpiWorld tree(sim::Topology::flat_switch(2, 2), sim::CostModel::zero());
+  ::unsetenv("OMSP_CONFIG");
+  EXPECT_TRUE(tree.coll().tree);
+  EXPECT_EQ(tree.coll().flat_max_bytes, 2048u);
+  const MpiWorld plain(sim::Topology::flat_switch(2, 2),
+                       sim::CostModel::zero());
+  EXPECT_FALSE(plain.coll().tree);
 }
 
 TEST(MpiColl, TreeCollectivesMatchValues) {

@@ -1,6 +1,6 @@
 // coll::Schedule derivation on every topology preset (leaders, levels,
-// fan-out shape, asymmetric node sizes), the flat-vs-tree switchover, the
-// OMSP_COLL spec grammar and its malformed-spec hard error. The worked
+// fan-out shape, asymmetric node sizes), the flat-vs-tree switchover and the
+// `coll` spec grammar. The worked
 // schedule-derivation example in docs/TOPOLOGY.md is asserted here
 // (FatTreeWorkedExample) so the documented numbers cannot drift.
 #include <gtest/gtest.h>
@@ -9,6 +9,8 @@
 #include <map>
 #include <vector>
 
+#include "../common/env_guard.hpp"
+#include "common/env_config.hpp"
 #include "net/collective.hpp"
 #include "sim/topology.hpp"
 
@@ -58,22 +60,28 @@ TEST(CollOptions, MalformedSpecsRejected) {
   }
 }
 
+// The `coll` key as MpiWorld resolves it: found among the other entries of
+// OMSP_CONFIG, parsed by Options::parse; unset or empty means no entries.
 TEST(CollOptions, EnvResolution) {
-  ::unsetenv("OMSP_COLL");
-  EXPECT_FALSE(Options::from_env().tree);
-  ::setenv("OMSP_COLL", "tree:2048", 1);
-  const Options o = Options::from_env();
+  const test::ScopedEnvClear env_guard;
+  EXPECT_EQ(env_config(), nullptr);
+  ::setenv("OMSP_CONFIG", "", 1);
+  EXPECT_EQ(env_config(), nullptr);
+  ::setenv("OMSP_CONFIG", "race=page;coll=tree:2048", 1);
+  const auto entries = split_config(env_config());
+  ::unsetenv("OMSP_CONFIG");
+  ASSERT_EQ(entries.size(), 2u);
+  EXPECT_EQ(entries[1].key, "coll");
+  const Options o = parse_config_value(entries[1], Options::parse);
   EXPECT_TRUE(o.tree);
   EXPECT_EQ(o.flat_max_bytes, 2048u);
-  ::unsetenv("OMSP_COLL");
 }
 
 TEST(CollOptionsDeathTest, MalformedEnvIsHardError) {
-  // A typo must not silently fall back to the centralized engine, mirroring
-  // OMSP_TOPOLOGY's posture.
-  ::setenv("OMSP_COLL", "ring", 1);
-  EXPECT_DEATH((void)Options::from_env(), "malformed OMSP_COLL");
-  ::unsetenv("OMSP_COLL");
+  // A typo must not silently fall back to the centralized engine.
+  EXPECT_DEATH((void)parse_config_value(split_config("coll=ring")[0],
+                                        Options::parse),
+               "bad value 'ring' for key 'coll'");
 }
 
 TEST(CollSchedule, FlatStar) {

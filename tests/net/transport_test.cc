@@ -646,17 +646,6 @@ TEST(PerturbingTransport, ReorderHoldsBackNotificationsBounded) {
   EXPECT_LE(pt.stats().jitter_us, 32 * o.reorder_max_us);
 }
 
-TEST(PerturbOptions, FromEnvParsesSeed) {
-  const test::ScopedEnvClear env_guard; // CI matrices export these vars
-  ::setenv("OMSP_PERTURB_SEED", "17", 1);
-  auto o = PerturbOptions::from_env();
-  EXPECT_TRUE(o.enabled);
-  EXPECT_EQ(o.seed, 17u);
-  ::unsetenv("OMSP_PERTURB_SEED");
-  o = PerturbOptions::from_env();
-  EXPECT_FALSE(o.enabled);
-}
-
 // Regression: reset_stats() used to leave the PerturbStats tallies (reorders,
 // jitter_us, ...) untouched — a mid-run reset kept counting from the old
 // totals, so post-reset audits against the (cleared) trace buffer failed.
@@ -901,41 +890,6 @@ TEST(PerturbingTransport, NoLossPathAddsNoWireBytes) {
   EXPECT_EQ(lossy.snapshot()[Counter::kBytesSent],
             3 * (100 + kSeqAckBytes + kHeaderBytes) +
                 2 * (kSeqAckBytes + kHeaderBytes));
-}
-
-TEST(PerturbOptions, FromEnvParsesLossProb) {
-  const test::ScopedEnvClear env_guard; // CI matrices export these vars
-  ::setenv("OMSP_LOSS_PROB", "0.25", 1);
-  auto o = PerturbOptions::from_env();
-  EXPECT_TRUE(o.enabled);
-  EXPECT_TRUE(o.lossy());
-  EXPECT_DOUBLE_EQ(o.loss_prob, 0.25);
-  // Loss on its own keeps the other perturbations off, so lossy runs are
-  // comparable to clean ones modulo retransmissions.
-  EXPECT_EQ(o.jitter_max_us, 0.0);
-  EXPECT_EQ(o.duplicate_prob, 0.0);
-  EXPECT_EQ(o.reorder_prob, 0.0);
-  // The retry cap scales with the rate: q = 1-(1-p)^2 per-attempt failure,
-  // cap chosen so q^(cap+1) <= 1e-12 (here ceil(-12/log10(0.4375)) = 34) —
-  // a full-suite env sweep must never spuriously exhaust.
-  EXPECT_EQ(o.max_retries, 34u);
-
-  // Composed with a perturbation seed, the jitter/dup/reorder defaults stay.
-  ::setenv("OMSP_PERTURB_SEED", "17", 1);
-  o = PerturbOptions::from_env();
-  EXPECT_EQ(o.seed, 17u);
-  EXPECT_DOUBLE_EQ(o.loss_prob, 0.25);
-  EXPECT_GT(o.jitter_max_us, 0.0);
-  ::unsetenv("OMSP_PERTURB_SEED");
-
-  // p >= 1 can never deliver; clamp below certainty.
-  ::setenv("OMSP_LOSS_PROB", "1.0", 1);
-  o = PerturbOptions::from_env();
-  EXPECT_DOUBLE_EQ(o.loss_prob, 0.95);
-  EXPECT_EQ(o.max_retries, 64u); // pathological rate: cap at the ceiling
-  ::unsetenv("OMSP_LOSS_PROB");
-  o = PerturbOptions::from_env();
-  EXPECT_FALSE(o.lossy());
 }
 
 } // namespace

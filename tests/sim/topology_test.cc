@@ -1,6 +1,6 @@
 // Hierarchical topology descriptor: rank <-> leaf round trips for every
 // preset, path-stage enumeration, the bit-for-bit sp2 == legacy-cost
-// guarantee, spec parsing and the OMSP_TOPOLOGY override. The worked cost
+// guarantee and spec parsing. The worked cost
 // examples in docs/TOPOLOGY.md are asserted here (FatTreeWorkedExamples) so
 // the documented numbers cannot drift from the code.
 #include <gtest/gtest.h>
@@ -158,19 +158,6 @@ TEST(TopologyDescriptor, ParseRoundTripsAndRejectsMalformed) {
         "flat:4x4junk", "sp3"}) {
     EXPECT_FALSE(Topology::parse(bad).has_value()) << bad;
   }
-}
-
-TEST(TopologyDescriptor, EnvOverride) {
-  ::unsetenv("OMSP_TOPOLOGY");
-  EXPECT_EQ(Topology::from_env_or(Topology::sp2()), Topology::sp2());
-  ::setenv("OMSP_TOPOLOGY", "flat:64x4", 1);
-  const Topology t = Topology::from_env_or(Topology::sp2());
-  EXPECT_EQ(t, Topology::flat_switch(64, 4));
-  EXPECT_EQ(t.spec(), "flat:64x4");
-  ::setenv("OMSP_TOPOLOGY", "fat:2x4x2", 1);
-  EXPECT_EQ(Topology::from_env_or(Topology::sp2()),
-            Topology::fat_tree(2, 4, 2));
-  ::unsetenv("OMSP_TOPOLOGY");
 }
 
 TEST(TopologyDescriptor, LinkSegments) {

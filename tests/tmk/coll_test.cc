@@ -1,4 +1,4 @@
-// DSM barrier on the hierarchical collective engine: OMSP_COLL=tree reduces
+// DSM barrier on the hierarchical collective engine: coll=tree reduces
 // interval/write-notice metadata up the topology tree and broadcasts
 // departures down it. These tests pin (1) central as the untouched default,
 // (2) exact value equivalence between central and tree episodes on both
@@ -67,7 +67,7 @@ Config tree_config(Config cfg) {
 TEST(DsmColl, CentralIsDefaultAndEmitsNoCollStages) {
   const ScopedEnvClear env_guard;
   Config cfg;
-  EXPECT_FALSE(cfg.coll.tree); // OMSP_COLL unset: the seed barrier, untouched
+  EXPECT_FALSE(cfg.coll.tree); // no coll key: the seed barrier, untouched
   cfg.topology = sim::Topology::fat_tree(2, 2, 2);
   cfg.cost = sim::CostModel::zero();
   const RunResult r = run_ring_stencil(cfg);
@@ -158,20 +158,19 @@ TEST(DsmColl, TreeBarrierCheaperOnWideMachineWithOccupancy) {
   EXPECT_LT(tree.master_us, central.master_us);
 }
 
-// OMSP_TOPOLOGY + OMSP_COLL=tree stacking: the env topology is resolved at
-// config-assembly time (Topology::from_env_or — the bench path) and the env
-// collective engine inside DsmSystem, and the tree schedule must be derived
-// from the OVERRIDING topology — never cached from the config default.
+// topo= + coll=tree stacking in one OMSP_CONFIG: the topology is resolved at
+// config-assembly time (Config::parse(...).topology — the bench path) and
+// the collective engine inside DsmSystem, and the tree schedule must be
+// derived from the OVERRIDING topology — never cached from the config
+// default.
 TEST(DsmColl, EnvTopologyStacksWithEnvTreeColl) {
   const ScopedEnvClear env_guard;
-  ::setenv("OMSP_COLL", "tree", 1);
-  ::setenv("OMSP_TOPOLOGY", "fat:2x2x2", 1);
+  ::setenv("OMSP_CONFIG", "coll=tree;topo=fat:2x2x2", 1);
   Config env_cfg;
-  env_cfg.topology = sim::Topology::from_env_or(sim::Topology::sp2());
+  env_cfg.topology = Config::parse(std::getenv("OMSP_CONFIG")).topology;
   env_cfg.cost = sim::CostModel::zero();
   const RunResult from_env = run_ring_stencil(env_cfg);
-  ::unsetenv("OMSP_TOPOLOGY");
-  ::unsetenv("OMSP_COLL");
+  ::unsetenv("OMSP_CONFIG");
 
   // The same machine selected in code, tree mode selected in code, must run
   // the identical episode: same values, same schedule-edge traffic.
@@ -198,15 +197,12 @@ TEST(DsmColl, EnvTopologyStacksWithEnvTreeColl) {
 }
 
 TEST(DsmCollDeathTest, MalformedEnvTopologyIsHardError) {
-  // A typo'd machine must never silently bench the default one — mirror of
-  // CollOptionsDeathTest for the stacked override.
+  // A typo'd machine must never silently bench the default one — and the
+  // DSM path, which does not apply topo itself, still rejects it.
   const ScopedEnvClear env_guard;
-  ::setenv("OMSP_COLL", "tree", 1);
-  ::setenv("OMSP_TOPOLOGY", "fat:2x", 1);
-  EXPECT_DEATH((void)sim::Topology::from_env_or(sim::Topology::sp2()),
-               "OMSP_CHECK failed");
-  ::unsetenv("OMSP_TOPOLOGY");
-  ::unsetenv("OMSP_COLL");
+  ::setenv("OMSP_CONFIG", "coll=tree;topo=fat:2x", 1);
+  EXPECT_DEATH((void)Config{}.with_env(), "bad value 'fat:2x' for key 'topo'");
+  ::unsetenv("OMSP_CONFIG");
 }
 
 } // namespace

@@ -1,11 +1,153 @@
-// Config and GlobalPtr unit tests.
+// Config, its OMSP_CONFIG grammar, and GlobalPtr unit tests.
 #include <gtest/gtest.h>
 
+#include <cstdlib>
+#include <string>
+
+#include "../common/env_guard.hpp"
 #include "tmk/config.hpp"
 #include "tmk/global_ptr.hpp"
 
 namespace omsp::tmk {
 namespace {
+
+// ------------------------------------------------ the OMSP_CONFIG grammar --
+
+// The CI environment stacks, each written as one config string, with the
+// Config fields it must resolve to: the values the per-feature environment
+// variables produced before the grammar replaced them (max_retries scales
+// with the loss rate, p = 1 caps at 0.95, and jitter/duplicate/reorder are
+// on only when perturb= is given).
+struct GrammarRow {
+  const char* spec;
+  const char* topo = "sp2";
+  bool tree = false;
+  bool overlap = false;
+  bool perturb = false;
+  std::uint64_t seed = 1;
+  double jitter_max_us = 25.0;
+  double loss_prob = 0;
+  std::uint32_t max_retries = 8;
+  race::Mode race = race::Mode::kOff;
+  const char* trace_json = "";
+};
+
+const GrammarRow kGrammarRows[] = {
+    {.spec = ""},
+    {.spec = "perturb=1", .perturb = true},
+    {.spec = "perturb=3", .perturb = true, .seed = 3},
+    {.spec = "loss=0.05", .perturb = true, .jitter_max_us = 0,
+     .loss_prob = 0.05, .max_retries = 12},
+    {.spec = "loss=0.2", .perturb = true, .jitter_max_us = 0,
+     .loss_prob = 0.2, .max_retries = 28},
+    {.spec = "loss=0.25", .perturb = true, .jitter_max_us = 0,
+     .loss_prob = 0.25, .max_retries = 34},
+    {.spec = "loss=1.0", .perturb = true, .jitter_max_us = 0,
+     .loss_prob = 0.95, .max_retries = 64},
+    {.spec = "coll=tree", .tree = true},
+    {.spec = "coll=tree;loss=0.05;perturb=2", .tree = true, .perturb = true,
+     .seed = 2, .loss_prob = 0.05, .max_retries = 12},
+    {.spec = "overlap=on", .overlap = true},
+    {.spec = "overlap=off"},
+    {.spec = "race=page", .race = race::Mode::kPage},
+    {.spec = "trace_json=heat.json", .trace_json = "heat.json"},
+    {.spec = "topo=fat:2x8x2", .topo = "fat:2x8x2"},
+};
+
+TEST(ConfigGrammar, CiStacksResolveToTheirFields) {
+  for (const GrammarRow& row : kGrammarRows) {
+    SCOPED_TRACE(row.spec);
+    const Config c = Config::parse(row.spec);
+    EXPECT_EQ(c.topology.spec(), row.topo);
+    EXPECT_EQ(c.coll.tree, row.tree);
+    EXPECT_EQ(c.overlap.enabled, row.overlap);
+    EXPECT_TRUE(c.overlap.async_fetch && c.overlap.prefetch);
+    EXPECT_EQ(c.perturb.enabled, row.perturb);
+    EXPECT_EQ(c.perturb.seed, row.seed);
+    EXPECT_EQ(c.perturb.jitter_max_us, row.jitter_max_us);
+    const bool jitter = row.jitter_max_us > 0;
+    EXPECT_EQ(c.perturb.duplicate_prob, jitter ? 0.05 : 0.0);
+    EXPECT_EQ(c.perturb.reorder_prob, jitter ? 0.10 : 0.0);
+    EXPECT_EQ(c.perturb.loss_prob, row.loss_prob);
+    EXPECT_EQ(c.perturb.max_retries, row.max_retries);
+    EXPECT_EQ(c.race.mode, row.race);
+    EXPECT_EQ(c.trace.enabled, *row.trace_json != '\0');
+    EXPECT_EQ(c.trace.json_path, row.trace_json);
+  }
+}
+
+// to_string is canonical: parsing it gives back the same fields and the same
+// string, whatever order the keys were written in.
+TEST(ConfigGrammar, ToStringRoundTrips) {
+  for (const GrammarRow& row : kGrammarRows) {
+    SCOPED_TRACE(row.spec);
+    const Config c = Config::parse(row.spec);
+    const Config back = Config::parse(c.to_string());
+    EXPECT_EQ(back.to_string(), c.to_string());
+    EXPECT_EQ(back.topology, c.topology);
+    EXPECT_EQ(back.coll.tree, c.coll.tree);
+    EXPECT_EQ(back.coll.flat_max_bytes, c.coll.flat_max_bytes);
+    EXPECT_EQ(back.overlap.enabled, c.overlap.enabled);
+    EXPECT_EQ(back.perturb.enabled, c.perturb.enabled);
+    EXPECT_EQ(back.perturb.seed, c.perturb.seed);
+    EXPECT_EQ(back.perturb.jitter_max_us, c.perturb.jitter_max_us);
+    EXPECT_EQ(back.perturb.duplicate_prob, c.perturb.duplicate_prob);
+    EXPECT_EQ(back.perturb.reorder_prob, c.perturb.reorder_prob);
+    EXPECT_EQ(back.perturb.loss_prob, c.perturb.loss_prob);
+    EXPECT_EQ(back.perturb.max_retries, c.perturb.max_retries);
+    EXPECT_EQ(back.race.mode, c.race.mode);
+    EXPECT_EQ(back.trace.enabled, c.trace.enabled);
+    EXPECT_EQ(back.trace.binary_path, c.trace.binary_path);
+    EXPECT_EQ(back.trace.json_path, c.trace.json_path);
+  }
+  EXPECT_EQ(Config::parse("perturb=2;loss=0.05;coll=tree:4096").to_string(),
+            "topo=sp2;coll=tree:4096;perturb=2;loss=0.05");
+}
+
+// DsmSystem's precedence: every key but topo fills in a feature the code
+// left at its default; a feature the code set keeps the code's value.
+TEST(ConfigGrammar, WithEnvFillsOnlyDefaultedFeatures) {
+  const test::ScopedEnvClear env;
+  Config code;
+  code.race.mode = race::Mode::kWord;
+  EXPECT_EQ(code.with_env().to_string(), "topo=sp2;race=word");
+  ::setenv("OMSP_CONFIG", "topo=flat:64x4;coll=tree;race=page;loss=0.2", 1);
+  const Config c = code.with_env();
+  ::unsetenv("OMSP_CONFIG");
+  EXPECT_EQ(c.topology.spec(), "sp2"); // topo is the benches' key
+  EXPECT_TRUE(c.coll.tree);
+  EXPECT_EQ(c.race.mode, race::Mode::kWord);
+  EXPECT_EQ(c.perturb.loss_prob, 0.2);
+}
+
+// One policy for malformed input: an OMSP_CHECK failure naming the key. The
+// `coll` and `race` values die in their own suites (CollOptionsDeathTest,
+// RaceEnvDeathTest).
+struct BadSpec {
+  const char* name;
+  const char* spec;
+  const char* message;
+};
+
+class ConfigGrammarDeathTest : public ::testing::TestWithParam<BadSpec> {};
+
+TEST_P(ConfigGrammarDeathTest, NamesTheKey) {
+  EXPECT_DEATH((void)Config::parse(GetParam().spec), GetParam().message);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Keys, ConfigGrammarDeathTest,
+    ::testing::Values(
+        BadSpec{"topo", "topo=fat:2x", "bad value 'fat:2x' for key 'topo'"},
+        BadSpec{"overlap", "overlap=1", "bad value '1' for key 'overlap'"},
+        BadSpec{"perturb", "perturb=abc", "bad value 'abc' for key 'perturb'"},
+        BadSpec{"loss", "loss=0,05", "bad value '0,05' for key 'loss'"},
+        BadSpec{"trace", "trace=", "bad value '' for key 'trace'"},
+        BadSpec{"trace_json", "trace_json=", "bad value '' for key 'trace_json'"},
+        BadSpec{"unknown", "coll=tree;colll=tree", "unknown key 'colll'"},
+        BadSpec{"repeated", "coll=tree;coll=central", "repeated key 'coll'"},
+        BadSpec{"no_equals", "coll=tree;", "entry '' has no '='"}),
+    [](const auto& info) { return std::string(info.param.name); });
 
 TEST(Config, ThreadModeContextLayout) {
   Config cfg;

@@ -11,9 +11,11 @@
 #include <cstring>
 #include <vector>
 
+#include "../common/env_guard.hpp"
 #include "common/buffer_pool.hpp"
 #include "common/rng.hpp"
 #include "tmk/diff.hpp"
+#include "tmk/system.hpp"
 
 namespace omsp::tmk {
 namespace {
@@ -229,6 +231,41 @@ TEST(BufferPools, BufferPoolIgnoresEmptyReleases) {
   BufferPool pool;
   pool.release({});
   EXPECT_EQ(pool.free_count(), 0u);
+}
+
+// The twin and diff pools inside a running DsmContext: after a multi-round
+// run, blocks and scratch vectors really came back for reuse instead of
+// churning the allocator. Home-based protocol so diff scratch is released
+// every interval close (lazy-RC parks non-empty diffs in stored_diffs until
+// GC, so only the home path guarantees visible reuse here).
+TEST(BufferPools, TwinAndDiffPoolsRecycle) {
+  const test::ScopedEnvClear env;
+  Config cfg;
+  cfg.topology = sim::Topology(1, 2);
+  cfg.mode = Mode::kProcess;
+  cfg.protocol = Protocol::kHomeLRC;
+  cfg.cost = sim::CostModel::zero();
+  DsmSystem dsm(cfg);
+  const std::int64_t B = kPageSize / sizeof(long);
+  auto data = dsm.alloc_page_aligned<long>(B * 2);
+  for (std::int64_t i = 0; i < B * 2; ++i) data[i] = 0;
+  dsm.parallel([&](Rank r) {
+    for (int it = 0; it < 4; ++it) {
+      for (std::int64_t i = 0; i < B; ++i) data[r * B + i] += it + 1;
+      dsm.barrier();
+      long s = 0;
+      for (std::int64_t i = 0; i < B; ++i) s += data[(1 - r) * B + i];
+      (void)s;
+      dsm.barrier();
+    }
+  });
+  std::size_t twin_free = 0, diff_free = 0;
+  for (ContextId c = 0; c < dsm.num_contexts(); ++c) {
+    twin_free += dsm.context(c).twin_pool_free();
+    diff_free += dsm.context(c).diff_pool_free();
+  }
+  EXPECT_GT(twin_free, 0u); // twins were retired back to the pool
+  EXPECT_GT(diff_free, 0u); // diff scratch came back after the fetches
 }
 
 } // namespace

@@ -74,7 +74,7 @@ void run_triangular(const Config& base, std::vector<long>& out) {
 struct LossParam {
   std::uint64_t seed;
   Protocol protocol;
-  bool overlap; // false: InlineTransport; true: QueuedTransport (OMSP_OVERLAP)
+  bool overlap; // false: InlineTransport; true: QueuedTransport
   const char* name;
 };
 
@@ -264,13 +264,13 @@ TEST(LossyTrace, ReconstructsCountersExactly) {
   EXPECT_TRUE(saw_retransmit);
 }
 
-// OMSP_LOSS_PROB is a code-free enable: DsmSystem stacks the loss-only
-// perturbing transport from the environment, and reset_stats() clears the
-// transport-local tallies together with boards and trace (the satellite-3
-// contract, system-level).
+// `loss=<p>` in OMSP_CONFIG is a code-free enable: DsmSystem stacks the
+// loss-only perturbing transport from the environment, and reset_stats()
+// clears the transport-local tallies together with boards and trace
+// (system-level).
 TEST(LossFromEnv, SystemStacksLossOnlyTransportAndResetsStats) {
   const ScopedEnvClear env_guard;
-  ::setenv("OMSP_LOSS_PROB", "0.1", 1);
+  ::setenv("OMSP_CONFIG", "loss=0.1", 1);
   Config cfg;
   cfg.topology = sim::Topology(2, 1);
   cfg.cost = sim::CostModel::zero();

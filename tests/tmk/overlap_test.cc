@@ -413,21 +413,5 @@ INSTANTIATE_TEST_SUITE_P(Modes, OverlapTraceAudit,
                                                               : "Process";
                          });
 
-// --------------------------------------------------------- env plumbing -----
-
-TEST(OverlapOptions, FromEnvParsesMasks) {
-  const ScopedEnvClear env_guard; // also restores the outer values afterwards
-  ::setenv("OMSP_OVERLAP", "1", 1);
-  ::setenv("OMSP_OVERLAP_PREFETCH", "0", 1);
-  auto o = net::OverlapOptions::from_env();
-  EXPECT_TRUE(o.enabled);
-  EXPECT_TRUE(o.async_fetch);
-  EXPECT_FALSE(o.prefetch);
-  ::unsetenv("OMSP_OVERLAP_PREFETCH");
-  ::unsetenv("OMSP_OVERLAP");
-  o = net::OverlapOptions::from_env();
-  EXPECT_FALSE(o.enabled);
-}
-
 } // namespace
 } // namespace omsp::tmk

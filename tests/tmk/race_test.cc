@@ -1,11 +1,11 @@
-// Vector-clock data-race detection (src/race/, OMSP_RACE): the on-line
+// Vector-clock data-race detection (src/race/, Config::race): the on-line
 // detector must (a) find a deliberately racy kernel deterministically — same
 // page, same byte ranges, same interval pair on every run, both protocols,
 // both execution modes — and (b) stay silent on the six properly synchronized
 // benchmark applications even with every protocol stressor stacked on
-// (tree collectives, zero-copy delivery, lossy links, perturbed seeds).
-// With OMSP_RACE=off (the default) the detector must not exist at all:
-// values, modeled time and every counter identical to the seed.
+// (tree collectives, lossy links, perturbed seeds). With race=off (the
+// default) the detector must not exist at all: values, modeled time and
+// every counter identical to the seed.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -274,9 +274,8 @@ RunResult run_round_robin(const Config& base) {
   return res;
 }
 
-// The same deterministic-counter set the zerocopy suite pins: quantities the
-// workload fixes exactly (the piggyback-dependent byte totals vary run-to-run
-// even on the seed, see tests/tmk/overlap_test.cc).
+// Quantities the workload fixes exactly (the piggyback-dependent byte totals
+// vary run-to-run even on the seed, see tests/tmk/overlap_test.cc).
 constexpr Counter kDeterministicCounters[] = {
     Counter::kMsgsSent,         Counter::kMsgsOffNode,
     Counter::kPageFaults,       Counter::kReadFaults,
@@ -363,11 +362,11 @@ net::PerturbOptions loss_with(std::uint64_t seed, double prob) {
   return o;
 }
 
-// Every stressor from the CI matrix stacked at once: tree collectives,
-// zero-copy delivery, 5% message loss, seeds 1..3 — and the detector at page
-// granularity on top. All six applications must compute the reference
-// checksum with ZERO race reports: no false positives from retransmitted
-// diffs, piggybacked intervals, segmented broadcasts or view-parsed replies.
+// Every stressor from the CI matrix stacked at once: tree collectives, 5%
+// message loss, seeds 1..3 — and the detector at page granularity on top.
+// All six applications must compute the reference checksum with ZERO race
+// reports: no false positives from retransmitted diffs, piggybacked
+// intervals or segmented broadcasts.
 class AppsRaceClean : public ::testing::TestWithParam<std::uint64_t> {
 protected:
   tmk::Config stacked_cfg(tmk::Mode mode) {
@@ -377,7 +376,6 @@ protected:
     cfg.cost = sim::CostModel::zero();
     cfg.race.mode = race::Mode::kPage;
     cfg.coll.tree = true;
-    cfg.zerocopy.enabled = true;
     cfg.perturb = loss_with(GetParam(), 0.05);
     return cfg;
   }
@@ -437,25 +435,24 @@ INSTANTIATE_TEST_SUITE_P(Seeds, AppsRaceClean, ::testing::Values(1u, 2u, 3u),
                            return "Seed" + std::to_string(info.param);
                          });
 
-// The MPI versions never construct a DsmSystem: OMSP_RACE in the environment
+// The MPI versions never construct a DsmSystem: race=page in OMSP_CONFIG
 // must be inert there — same checksum, no detector, no crash.
 TEST(RaceDetect, MpiVersionsIgnoreRaceKnob) {
   ScopedEnvClear env;
-  ::setenv("OMSP_RACE", "page", 1);
+  ::setenv("OMSP_CONFIG", "race=page", 1);
   apps::sor::Params p{64, 48, 4, 1.0};
   const double want = apps::sor::run_seq(p, 1.0).checksum;
   const auto mpi =
       apps::sor::run_mpi(p, sim::Topology(2, 2), sim::CostModel::zero());
   EXPECT_NEAR(mpi.checksum, want, 1e-9 * std::max(std::abs(want), 1.0));
   EXPECT_EQ(mpi.stats[Counter::kRacesDetected], 0u);
-  ::unsetenv("OMSP_RACE");
+  ::unsetenv("OMSP_CONFIG");
 }
 
 // ------------------------------------------------------- the knob ----------
 
 TEST(RaceEnv, ParsesOffPageWord) {
-  ScopedEnvClear env;
-  EXPECT_FALSE(race::Options::from_env().enabled()); // unset -> off
+  EXPECT_FALSE(Config::parse("").race.enabled()); // no race key -> off
   const auto parsed = [](const char* v) {
     const auto o = race::Options::parse(v);
     return o.has_value() ? std::optional<race::Mode>(o->mode) : std::nullopt;
@@ -465,19 +462,14 @@ TEST(RaceEnv, ParsesOffPageWord) {
   EXPECT_EQ(parsed("word"), race::Mode::kWord);
   EXPECT_EQ(parsed("bogus"), std::nullopt);
   EXPECT_EQ(parsed(""), std::nullopt);
-
-  ::setenv("OMSP_RACE", "word", 1);
-  EXPECT_EQ(race::Options::from_env().mode, race::Mode::kWord);
-  ::unsetenv("OMSP_RACE");
+  EXPECT_EQ(Config::parse("race=word").race.mode, race::Mode::kWord);
 }
 
-// Malformed specs are a hard error, same convention as OMSP_COLL: die loudly
-// instead of silently measuring the wrong configuration.
+// Malformed specs are a hard error naming the key: die loudly instead of
+// silently running without the correctness oracle.
 TEST(RaceEnvDeathTest, MalformedSpecDiesLoudly) {
-  ScopedEnvClear env;
-  ::setenv("OMSP_RACE", "pages", 1);
-  EXPECT_DEATH((void)race::Options::from_env(), "malformed OMSP_RACE spec");
-  ::unsetenv("OMSP_RACE");
+  EXPECT_DEATH((void)Config::parse("race=pages"),
+               "bad value 'pages' for key 'race'");
 }
 
 } // namespace

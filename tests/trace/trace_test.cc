@@ -87,10 +87,12 @@ TEST(TraceContainer, RoundTripsEventsDropsAndCounters) {
   stats[Counter::kTwins] = 1;
   stats[Counter::kBarriers] = 1;
 
-  const auto bytes = encode_trace(events, /*dropped=*/5, stats);
+  const auto bytes =
+      encode_trace(events, /*dropped=*/5, "topo=sp2;coll=tree", stats);
   const TraceFile tf = decode_trace(bytes.data(), bytes.size());
   EXPECT_EQ(tf.events, events);
   EXPECT_EQ(tf.dropped, 5u);
+  EXPECT_EQ(tf.config, "topo=sp2;coll=tree");
   for (std::size_t c = 0; c < static_cast<std::size_t>(Counter::kCount); ++c)
     EXPECT_EQ(tf.stats.v[c], stats.v[c]) << counter_name(static_cast<Counter>(c));
   EXPECT_EQ(tf.raw_counters.size(),
@@ -98,7 +100,7 @@ TEST(TraceContainer, RoundTripsEventsDropsAndCounters) {
 }
 
 TEST(TraceContainer, RejectsCorruptMagic) {
-  auto bytes = encode_trace({}, 0, StatsSnapshot{});
+  auto bytes = encode_trace({}, 0, "", StatsSnapshot{});
   bytes[0] = 'X';
   EXPECT_DEATH(decode_trace(bytes.data(), bytes.size()), "bad magic");
 }
@@ -297,11 +299,11 @@ TEST(TraceIntegration, ResetStatsAlsoClearsTrace) {
 TEST(TraceIntegration, FinishWritesSelfContainedBinaryFile) {
   const std::string path =
       "/tmp/omsp_trace_test_" + std::to_string(::getpid()) + ".trace";
+  tmk::Config cfg;
+  cfg.topology = sim::Topology(2, 1);
+  cfg.trace.enabled = true;
+  cfg.trace.binary_path = path;
   {
-    tmk::Config cfg;
-    cfg.topology = sim::Topology(2, 1);
-    cfg.trace.enabled = true;
-    cfg.trace.binary_path = path;
     tmk::DsmSystem dsm(cfg);
     auto x = dsm.alloc_page_aligned<long>(64);
     dsm.parallel([&](Rank r) {
@@ -315,6 +317,9 @@ TEST(TraceIntegration, FinishWritesSelfContainedBinaryFile) {
   std::remove(path.c_str());
   EXPECT_GT(tf.events.size(), 0u);
   EXPECT_EQ(tf.dropped, 0u);
+  // The header names the configuration the run used, OMSP_CONFIG included.
+  EXPECT_EQ(tf.config, cfg.with_env().to_string());
+  EXPECT_EQ(tf.config.rfind("topo=flat:2x1;", 0), 0u);
   const StatsSnapshot rebuilt = reconstruct_counters(tf.events);
   for (std::size_t c = 0; c < static_cast<std::size_t>(Counter::kCount); ++c)
     EXPECT_EQ(rebuilt.v[c], tf.stats.v[c])
