@@ -23,8 +23,10 @@ int main() {
   }
   {
     Variant v{"no alias mapping", paper_config(tmk::Mode::kThread)};
-    // The alias-off path is only sound with one thread per context (the
-    // original TreadMarks never ran threads); use 4 nodes x 1 proc.
+    // 4 nodes x 1 proc on both sides isolates the write-enable mprotect from
+    // multithreading. (The alias-off path is sound with sibling threads too:
+    // its write-enable is modeled only, so a fetched page stays inaccessible
+    // until its fault completes — TriangularStress/ThreadNoAlias2x2.)
     v.cfg.topology = sim::Topology(4, 1);
     v.cfg.alias_mapping = false;
     variants.push_back(v);

@@ -47,9 +47,11 @@ void BM_DiffCreate(benchmark::State& state) {
 }
 BENCHMARK(BM_DiffCreate)->Arg(0)->Arg(5)->Arg(25)->Arg(100);
 
-// The pre-PR word-at-a-time encoder, kept callable as create_diff_scalar():
-// the ratio BM_DiffCreateScalar / BM_DiffCreate at each dirtiness level is
-// the SIMD speedup recorded in BENCH_pr8.json.
+// The word-at-a-time reference encoder, kept callable as
+// create_diff_scalar(): the ratio BM_DiffCreateScalar / BM_DiffCreate at each
+// dirtiness level is the SIMD speedup recorded in BENCH_pr8.json. Both encode
+// into the same per-thread scratch buffer and copy out exact-size diffs, so
+// the ratio measures only the compare kernels.
 void BM_DiffCreateScalar(benchmark::State& state) {
   alignas(64) std::uint8_t twin[kPageSize], cur[kPageSize];
   make_pair(twin, cur, state.range(0) / 100.0, 8);

@@ -1,6 +1,7 @@
 #include "tmk/context.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -68,6 +69,11 @@ void chaos_point() {
     nanosleep(&ts, nullptr);
   }
 }
+
+// Longest run of pages apply_records invalidates at once under per-page
+// locks: the run holds all its page locks, and ThreadSanitizer tracks at most
+// 64 mutexes held by one thread.
+constexpr std::size_t kMaxLockedRun = 32;
 
 } // namespace
 
@@ -141,8 +147,7 @@ void DsmContext::on_fault(void* addr, bool is_write) {
         if (meta.twin == nullptr) make_twin(p);
         meta.state = PageState::kReadWrite;
         meta.written_since_flush = true;
-        if (meta.prot != Protection::kReadWrite)
-          set_prot(p, Protection::kReadWrite);
+        set_prot(p, Protection::kReadWrite);
       } else {
         meta.state = PageState::kRead;
         set_prot(p, Protection::kRead);
@@ -171,9 +176,21 @@ void DsmContext::on_fault(void* addr, bool is_write) {
 
 void DsmContext::set_prot(PageId p, Protection prot) {
   PageMeta& meta = pages_[p];
-  heap_.protect(p, prot);
+  // Every caller changes the page's state, so the host mapping changes too.
+  // The modeled protection may already be `prot`: process mode's fetch
+  // charged the write-enable (charge_write_enable) without a syscall.
+  heap_.protect_host(p, 1, prot);
+  if (meta.prot != prot) heap_.charge_protect(p, prot);
   meta.prot = prot;
   OMSP_PTRACE(p, "set_prot %d", static_cast<int>(prot));
+}
+
+bool DsmContext::charge_write_enable(PageId p) {
+  PageMeta& meta = pages_[p];
+  if (heap_.has_alias() || meta.prot == Protection::kReadWrite) return false;
+  heap_.charge_protect(p, Protection::kReadWrite);
+  meta.prot = Protection::kReadWrite;
+  return true;
 }
 
 void DsmContext::make_twin(PageId p) {
@@ -438,11 +455,11 @@ void DsmContext::fetch_and_apply(PageId p, std::unique_lock<std::mutex>& lock) {
   std::stable_sort(got.begin(), got.end(),
                    [](const Got& a, const Got& b) { return a.vtsum < b.vtsum; });
   if (!got.empty()) {
-    // The write-enable below is the faulting application thread's own
-    // modeled mprotect (original TreadMarks); the store itself goes through
-    // the runtime mapping so no sibling access can slip past detection.
-    if (!heap_.has_alias() && meta.prot != Protection::kReadWrite)
-      set_prot(p, Protection::kReadWrite); // original needs write-enable
+    // The original system write-enables the page here; the stores go
+    // through the runtime mapping, so only that mprotect's cost is modeled
+    // and the page stays PROT_NONE on the host until the fault path
+    // installs its final access — no sibling access slips past detection.
+    charge_write_enable(p);
     std::uint8_t* dst = heap_.runtime_page(p);
     auto* clock = sim::VirtualClock::current();
     for (const Got& g : got) {
@@ -606,10 +623,8 @@ void DsmContext::apply_bytes_at_home(PageId p, const std::uint8_t* bytes,
   // always goes through the runtime mapping; process mode only CHARGES the
   // modeled write-enable pair so its mprotect accounting (Table 3) is
   // unchanged.
-  const bool modeled_write_enable =
-      !heap_.has_alias() && meta.prot != Protection::kReadWrite;
-  if (modeled_write_enable)
-    heap_.charge_protect(p, Protection::kReadWrite);
+  const Protection app_prot = meta.prot;
+  const bool modeled_write_enable = charge_write_enable(p);
   std::uint8_t* dst = heap_.runtime_page(p);
   if (testing_home_apply_hook != nullptr) testing_home_apply_hook(id_, p);
   // Uncollected LOCAL writes at the home (current − race baseline) are about
@@ -645,7 +660,10 @@ void DsmContext::apply_bytes_at_home(PageId p, const std::uint8_t* bytes,
       if (pre[i] != old_rt[i]) rt[i] = old_rt[i];
   }
   // Modeled restore of the application-visible protection (see above).
-  if (modeled_write_enable) heap_.charge_protect(p, meta.prot);
+  if (modeled_write_enable) {
+    heap_.charge_protect(p, app_prot);
+    meta.prot = app_prot;
+  }
 }
 
 void DsmContext::fetch_from_home(PageId p,
@@ -674,8 +692,8 @@ void DsmContext::fetch_from_home(PageId p,
     // Preserve local writes: capture the twin delta before the whole-page
     // overwrite, re-apply it on top afterwards, and rebase the twin onto
     // the fetched image so the next release diff carries only local bytes.
-    DiffBytes local_delta = diff_pool_.acquire();
-    DiffBytes attributed_delta = diff_pool_.acquire();
+    DiffBytes local_delta;
+    DiffBytes attributed_delta;
     if (meta.twin != nullptr) {
       std::uint8_t snapshot[kPageSize];
       heap_.snapshot_page(p, snapshot);
@@ -698,11 +716,9 @@ void DsmContext::fetch_from_home(PageId p,
     ByteReader r(reply);
     const auto page_bytes = r.get_span<std::uint8_t>();
     OMSP_CHECK(page_bytes.size() == kPageSize);
-    // As in fetch_and_apply: the write-enable is this application thread's
-    // own modeled mprotect; the installation writes go through the runtime
-    // mapping.
-    if (!heap_.has_alias() && meta.prot != Protection::kReadWrite)
-      set_prot(p, Protection::kReadWrite);
+    // As in fetch_and_apply: the write-enable is modeled only; the
+    // installation writes go through the runtime mapping.
+    charge_write_enable(p);
     std::uint8_t* dst = heap_.runtime_page(p);
     std::memcpy(dst, page_bytes.data(), kPageSize);
     if (meta.twin != nullptr)
@@ -719,8 +735,6 @@ void DsmContext::fetch_from_home(PageId p,
     if (!local_delta.empty()) {
       apply_diff(local_delta, dst); // twin NOT patched: delta stays local
     }
-    diff_pool_.release(std::move(local_delta));
-    diff_pool_.release(std::move(attributed_delta));
     if (auto* clock = sim::VirtualClock::current(); clock != nullptr)
       clock->charge(config_.cost.diff_apply_base_us +
                     config_.cost.diff_byte_us * kPageSize);
@@ -759,8 +773,7 @@ void DsmContext::flush_page_diff_locked(PageId p) {
   std::uint8_t snapshot[kPageSize];
   heap_.snapshot_page(p, snapshot);
   const std::uint8_t* current = snapshot;
-  DiffBytes diff = diff_pool_.acquire();
-  create_diff_into(meta.twin.get(), current, diff, kPageSize);
+  DiffBytes diff = create_diff(meta.twin.get(), current);
 
   IntervalSeq tag;
   bool minted = false;
@@ -822,8 +835,7 @@ void DsmContext::flush_page_diff_locked(PageId p) {
   // Post-close bytes folded into the close by that ordering are a documented
   // miss, never a phantom.
   if (meta.race_twin != nullptr) {
-    DiffBytes race_diff = diff_pool_.acquire();
-    create_diff_into(meta.race_twin.get(), current, race_diff, kPageSize);
+    const DiffBytes race_diff = create_diff(meta.race_twin.get(), current);
     if (!race_diff.empty()) {
       if (have_prev_svt && prev_listed > meta.race_collected_seq) {
         race_->record_write(id_, p, prev_listed, prev_svt,
@@ -834,7 +846,6 @@ void DsmContext::flush_page_diff_locked(PageId p) {
       }
       // else: nothing minted and no uncollected close — skip (conservative).
     }
-    diff_pool_.release(std::move(race_diff));
     meta.race_twin.reset();
   }
 
@@ -856,15 +867,12 @@ void DsmContext::flush_page_diff_locked(PageId p) {
       // thus never appear. Replace defensively.
       stored_diff_bytes_.fetch_sub(meta.stored_diffs.back().second.size(),
                                    std::memory_order_relaxed);
-      diff_pool_.release(std::move(meta.stored_diffs.back().second));
       meta.stored_diffs.back().second = std::move(diff);
     } else {
       OMSP_CHECK(meta.stored_diffs.empty() ||
                  meta.stored_diffs.back().first < tag);
       meta.stored_diffs.emplace_back(tag, std::move(diff));
     }
-  } else {
-    diff_pool_.release(std::move(diff));
   }
   meta.twin.reset();
   {
@@ -919,12 +927,10 @@ std::optional<IntervalRecord> DsmContext::close_interval() {
       if (meta.race_twin == nullptr) continue;
       std::uint8_t snapshot[kPageSize];
       heap_.snapshot_page(p, snapshot);
-      DiffBytes race_diff = diff_pool_.acquire();
-      create_diff_into(meta.race_twin.get(), snapshot, race_diff, kPageSize);
+      const DiffBytes race_diff = create_diff(meta.race_twin.get(), snapshot);
       if (!race_diff.empty())
         race_->record_write(id_, p, rec.seq, close_svt,
                             {race_diff.data(), race_diff.size()});
-      diff_pool_.release(std::move(race_diff));
       std::memcpy(meta.race_twin.get(), snapshot, kPageSize);
       meta.race_collected_seq = rec.seq;
     }
@@ -955,8 +961,7 @@ std::optional<IntervalRecord> DsmContext::close_interval() {
       }
       std::uint8_t snapshot[kPageSize];
       heap_.snapshot_page(p, snapshot);
-      DiffBytes diff = diff_pool_.acquire();
-      create_diff_into(meta.twin.get(), snapshot, diff, kPageSize);
+      DiffBytes diff = create_diff(meta.twin.get(), snapshot);
       stats_->add(Counter::kDiffsCreated);
       stats_->add(Counter::kDiffBytesCreated, diff.size());
       OMSP_TRACE_EVENT(kDiffCreate, id_, p, diff.size());
@@ -969,8 +974,6 @@ std::optional<IntervalRecord> DsmContext::close_interval() {
       if (home_of(p) != id_ && !diff.empty()) {
         meta.fetch_in_progress = true;
         to_home.emplace_back(p, std::move(diff));
-      } else {
-        diff_pool_.release(std::move(diff));
       }
       meta.twin.reset();
       meta.written_since_flush = false;
@@ -983,7 +986,6 @@ std::optional<IntervalRecord> DsmContext::close_interval() {
       msg.put_span<std::uint8_t>({diff.data(), diff.size()});
       (void)router_.transport().call(net::Envelope::request(
           id_, home_of(p), net::MsgType::kDiffToHome, msg));
-      diff_pool_.release(std::move(diff));
       {
         std::lock_guard<std::mutex> pl(page_lock(p));
         pages_[p].fetch_in_progress = false;
@@ -1057,18 +1059,47 @@ void DsmContext::apply_records(const std::vector<IntervalRecord>& records,
   std::sort(to_invalidate.begin(), to_invalidate.end());
   to_invalidate.erase(std::unique(to_invalidate.begin(), to_invalidate.end()),
                       to_invalidate.end());
-  for (PageId p : to_invalidate) {
-    std::lock_guard<std::mutex> pl(page_lock(p));
-    PageMeta& meta = pages_[p];
-    if (meta.state != PageState::kInvalid) {
-      meta.state = PageState::kInvalid;
-      meta.fresh_invalidate = true;
-      set_prot(p, Protection::kNone);
-      stats_->add(Counter::kPageInvalidations);
-      OMSP_TRACE_EVENT(kInvalidate, id_, p);
-      OMSP_PTRACE(p, "invalidated");
-    }
+  // Per-page locks cap a run; the coarse lock is one mutex however long it is.
+  const std::size_t max_run =
+      per_page_locks_ ? kMaxLockedRun : to_invalidate.size();
+  for (std::size_t i = 0; i < to_invalidate.size();) {
+    std::size_t n = 1;
+    while (i + n < to_invalidate.size() && n < max_run &&
+           to_invalidate[i + n] == to_invalidate[i] + n)
+      ++n;
+    invalidate_run(to_invalidate[i], n);
+    i += n;
   }
+}
+
+void DsmContext::invalidate_run(PageId first, std::size_t n) {
+  // Hold every page lock of the run (ascending; no other path holds two page
+  // locks, so the order cannot deadlock) across the state changes and the
+  // one host mprotect, so no fault sees an invalid page the host still maps.
+  std::array<std::unique_lock<std::mutex>, kMaxLockedRun> held;
+  if (per_page_locks_) {
+    OMSP_DCHECK(n <= kMaxLockedRun);
+    for (std::size_t k = 0; k < n; ++k)
+      held[k] = std::unique_lock<std::mutex>(page_mutexes_[first + k]);
+  } else {
+    held[0] = std::unique_lock<std::mutex>(coarse_page_mutex_);
+  }
+  bool changed = false;
+  for (std::size_t k = 0; k < n; ++k) {
+    const PageId p = first + static_cast<PageId>(k);
+    PageMeta& meta = pages_[p];
+    if (meta.state == PageState::kInvalid) continue;
+    meta.state = PageState::kInvalid;
+    meta.fresh_invalidate = true;
+    meta.prot = Protection::kNone;
+    heap_.charge_protect(p, Protection::kNone);
+    stats_->add(Counter::kPageInvalidations);
+    OMSP_TRACE_EVENT(kInvalidate, id_, p);
+    OMSP_PTRACE(p, "invalidated");
+    changed = true;
+  }
+  // Pages of the run that were already invalid are PROT_NONE on the host.
+  if (changed) heap_.protect_host(first, n, Protection::kNone);
 }
 
 std::vector<IntervalRecord>
@@ -1148,8 +1179,7 @@ void DsmContext::validate_all_pages() {
     if (meta.twin != nullptr) {
       meta.state = PageState::kReadWrite;
       meta.written_since_flush = true;
-      if (meta.prot != Protection::kReadWrite)
-        set_prot(p, Protection::kReadWrite);
+      set_prot(p, Protection::kReadWrite);
     } else {
       meta.state = PageState::kRead;
       set_prot(p, Protection::kRead);
@@ -1164,10 +1194,8 @@ void DsmContext::collect_garbage() {
   // records_unknown_to loops are empty for all peers from here.
   for (PageId p = 0; p < pages_.size(); ++p) {
     std::lock_guard<std::mutex> pl(page_lock(p));
-    for (auto& [seq, bytes] : pages_[p].stored_diffs) {
+    for (const auto& [seq, bytes] : pages_[p].stored_diffs)
       stored_diff_bytes_.fetch_sub(bytes.size(), std::memory_order_relaxed);
-      diff_pool_.release(std::move(bytes));
-    }
     pages_[p].stored_diffs.clear();
     pages_[p].stored_diffs.shrink_to_fit();
   }

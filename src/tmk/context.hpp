@@ -146,9 +146,8 @@ public:
   PageState page_state(PageId p);
   bool page_dirty(PageId p);
   std::size_t stored_diff_count(PageId p);
-  // Pool introspection: free blocks currently parked in the twin/diff pools.
+  // Pool introspection: free blocks currently parked in the twin pool.
   std::size_t twin_pool_free() const { return twin_pool_.free_count(); }
-  std::size_t diff_pool_free() const { return diff_pool_.free_count(); }
 
   // Eagerly flush all dirty pages to diffs (the !lazy_diffs ablation; also a
   // test hook).
@@ -204,9 +203,14 @@ public:
 
 private:
   struct PageMeta {
+    // The host application mapping's protection follows `state` (kInvalid
+    // = PROT_NONE, kRead = PROT_READ, kReadWrite = PROT_READ|WRITE).
     PageState state = PageState::kRead;
-    // Mirror of the application mapping's actual protection; lets process
-    // mode know when an explicit write-enable mprotect is required.
+    // The MODELED protection: what the original system's mapping would have.
+    // It equals the host's except during a process-mode fetch, whose
+    // write-enable (charge_write_enable) is charged but not issued — the
+    // page stays PROT_NONE on the host until the fault path installs its
+    // final access. Lets process mode know when a write-enable is owed.
     Protection prot = Protection::kRead;
     bool fetch_in_progress = false;
     // Prefetch-candidate gate, both required. `fresh_invalidate` is set on
@@ -257,8 +261,17 @@ private:
   // Creator-side: turn the outstanding twin into a stored diff, minting a
   // fresh interval when the twin holds unpublished writes. Frees the twin.
   void flush_page_diff_locked(PageId p);
-  // Counted protection change that keeps PageMeta.prot in sync.
+  // Protection change that accompanies a page-state change: one host
+  // mprotect, plus the modeled one unless PageMeta.prot is already `prot`.
   void set_prot(PageId p, Protection prot);
+  // Process mode's write-enable before an update is installed: modeled only
+  // (counted, charged, PageMeta.prot := kReadWrite). Returns false, doing
+  // nothing, when none is owed: with the alias, or if already writable.
+  bool charge_write_enable(PageId p);
+  // Invalidate the pages of [first, first + n) that are still valid, under
+  // all of the run's page locks, with one host mprotect (apply_records). With
+  // per-page locks, n is at most kMaxLockedRun (context.cc).
+  void invalidate_run(PageId first, std::size_t n);
   // Home-based protocol helpers.
   ContextId home_of(PageId p) const { return p % nc_; }
   void fetch_from_home(PageId p, std::unique_lock<std::mutex>& lock);
@@ -335,12 +348,11 @@ private:
   std::mutex coarse_page_mutex_;
   std::condition_variable_any fetch_cv_;
 
-  // Free-list pools for the fault/flush hot paths. Declared BEFORE pages_:
+  // Free-list pool for the fault path's twins. Declared BEFORE pages_:
   // PageMeta.twin handles return their blocks to twin_pool_ on destruction,
   // so the pool must outlive the page table (members destroy in reverse
   // declaration order).
   PagePool twin_pool_{kPageSize};
-  BufferPool diff_pool_;
 
   std::vector<PageMeta> pages_;
 

@@ -28,23 +28,42 @@ namespace {
 
 using detail::RunHeader;
 
-inline void put_run(DiffBytes& out, std::size_t offset, std::size_t length,
-                    const std::uint8_t* data) {
+// Largest encoding of one page: maximal runs are separated by at least one
+// equal byte, so there are at most ceil(page_size / 2) of them.
+constexpr std::size_t max_diff_bytes(std::size_t page_size) {
+  return page_size + sizeof(RunHeader) * ((page_size + 1) / 2);
+}
+
+// This thread's scratch buffer, with room for the largest encoding of a
+// page. Both encoders store their runs into it with plain stores and copy
+// them out once at their exact size: no growth checks per run, and no
+// doubling slack in the diffs the protocol stores.
+std::uint8_t* diff_scratch(std::size_t page_size) {
+  thread_local std::vector<std::uint8_t> scratch;
+  if (scratch.size() < max_diff_bytes(page_size))
+    scratch.resize(max_diff_bytes(page_size));
+  return scratch.data();
+}
+
+// Stores one run at `out`, which has room for it; returns the new end.
+inline std::uint8_t* put_run(std::uint8_t* out, std::size_t offset,
+                             std::size_t length, const std::uint8_t* data) {
   OMSP_CHECK(length <= 0xffff); // u16 wire length; offset checked by caller
-  RunHeader h{static_cast<std::uint16_t>(offset),
-              static_cast<std::uint16_t>(length)};
-  const auto* hp = reinterpret_cast<const std::uint8_t*>(&h);
-  out.insert(out.end(), hp, hp + sizeof(h));
-  out.insert(out.end(), data + offset, data + offset + length);
+  const RunHeader h{static_cast<std::uint16_t>(offset),
+                    static_cast<std::uint16_t>(length)};
+  std::memcpy(out, &h, sizeof h);
+  std::memcpy(out + sizeof h, data + offset, length);
+  return out + sizeof h + length;
 }
 
 // Turns per-byte difference masks into maximal byte-exact runs. Fed one
 // block at a time: bit i of `m` says byte (base + i) differs. A run that
 // reaches the end of a block is left open and either extended or closed by
 // the next block — so runs straddle word, lane and block boundaries without
-// the kernels having to care.
+// the kernels having to care. Runs are stored at `out`, which must have
+// max_diff_bytes() of room.
 struct RunEmitter {
-  DiffBytes& out;
+  std::uint8_t* out;
   const std::uint8_t* cur;
   static constexpr std::size_t kNone = static_cast<std::size_t>(-1);
   std::size_t run_begin = kNone;
@@ -55,7 +74,7 @@ struct RunEmitter {
     if (run_begin != kNone) {
       const unsigned ones = static_cast<unsigned>(std::countr_one(m));
       if (ones >= nbytes) return; // open run covers this whole block
-      put_run(out, run_begin, base + ones - run_begin, cur);
+      out = put_run(out, run_begin, base + ones - run_begin, cur);
       run_begin = kNone;
       m >>= ones;
       bit = ones;
@@ -69,7 +88,7 @@ struct RunEmitter {
         run_begin = base + bit;
         return;
       }
-      put_run(out, base + bit, ones, cur);
+      out = put_run(out, base + bit, ones, cur);
       m >>= ones;
       bit += ones;
     }
@@ -77,7 +96,7 @@ struct RunEmitter {
 
   inline void close_at(std::size_t end) {
     if (run_begin != kNone) {
-      put_run(out, run_begin, end - run_begin, cur);
+      out = put_run(out, run_begin, end - run_begin, cur);
       run_begin = kNone;
     }
   }
@@ -151,13 +170,13 @@ void create_diff_into(const std::uint8_t* twin, const std::uint8_t* current,
                       DiffBytes& out, std::size_t page_size) {
   OMSP_CHECK(page_size % sizeof(std::uint64_t) == 0);
   OMSP_CHECK(page_size <= 65536);
-  out.clear();
+  std::uint8_t* const buf = diff_scratch(page_size);
 
   // Runs must be byte-exact: a diff may never carry an unchanged byte,
   // because concurrent writers of the same page (false sharing) rely on the
   // merge touching only bytes they actually wrote. Blocks are compared 64
   // bytes at a time; only blocks with differences reach the run emitter.
-  RunEmitter em{out, current};
+  RunEmitter em{buf, current};
   std::size_t base = 0;
   for (; base + 64 <= page_size; base += 64) {
     const std::uint64_t m = block_mask64(twin + base, current + base);
@@ -170,6 +189,7 @@ void create_diff_into(const std::uint8_t* twin, const std::uint8_t* current,
   for (; base < page_size; base += 8)
     em.feed(base, word_mask(twin + base, current + base), 8);
   em.close_at(page_size);
+  out.assign(buf, em.out);
 }
 
 DiffBytes create_diff(const std::uint8_t* twin, const std::uint8_t* current,
@@ -184,11 +204,13 @@ DiffBytes create_diff_scalar(const std::uint8_t* twin,
                              std::size_t page_size) {
   OMSP_CHECK(page_size % sizeof(std::uint64_t) == 0);
   OMSP_CHECK(page_size <= 65536);
-  DiffBytes out;
+  std::uint8_t* const buf = diff_scratch(page_size);
+  std::uint8_t* out = buf;
 
   // The original TreadMarks-style encoder: compare a machine word at a time,
-  // refine changed words to exact byte runs. Kept verbatim as the reference
-  // implementation the vector kernels are proved against.
+  // refine changed words to exact byte runs. Kept as the reference
+  // implementation the vector kernels are proved against; it shares their
+  // scratch buffer and copy-out, so the two differ only in the compare.
   const std::size_t words = page_size / sizeof(std::uint64_t);
   std::uint64_t tw, cw;
   std::size_t run_begin = page_size; // page_size == "no open run"
@@ -197,7 +219,7 @@ DiffBytes create_diff_scalar(const std::uint8_t* twin,
     std::memcpy(&cw, current + w * 8, 8);
     if (tw == cw) {
       if (run_begin != page_size) {
-        put_run(out, run_begin, w * 8 - run_begin, current);
+        out = put_run(out, run_begin, w * 8 - run_begin, current);
         run_begin = page_size;
       }
       continue;
@@ -206,14 +228,14 @@ DiffBytes create_diff_scalar(const std::uint8_t* twin,
       if (twin[b] != current[b]) {
         if (run_begin == page_size) run_begin = b;
       } else if (run_begin != page_size) {
-        put_run(out, run_begin, b - run_begin, current);
+        out = put_run(out, run_begin, b - run_begin, current);
         run_begin = page_size;
       }
     }
   }
   if (run_begin != page_size)
-    put_run(out, run_begin, page_size - run_begin, current);
-  return out;
+    out = put_run(out, run_begin, page_size - run_begin, current);
+  return DiffBytes(buf, out);
 }
 
 namespace {

@@ -76,9 +76,9 @@ inline void for_each_run(std::span<const std::uint8_t> diff,
 DiffBytes create_diff(const std::uint8_t* twin, const std::uint8_t* current,
                       std::size_t page_size = kPageSize);
 
-// Same, writing into `out` (cleared first). Reuses out's capacity — the
-// flush path feeds pooled scratch vectors through this to avoid one heap
-// allocation per dirty page.
+// Same, writing into `out` (replacing its contents). The runs are encoded
+// into a per-thread scratch buffer and copied out at their exact size, so
+// `out` reallocates only when its capacity is smaller than the diff.
 void create_diff_into(const std::uint8_t* twin, const std::uint8_t* current,
                       DiffBytes& out, std::size_t page_size = kPageSize);
 

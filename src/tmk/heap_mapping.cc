@@ -73,10 +73,17 @@ void HeapMapping::snapshot_page(PageId page, std::uint8_t* out) const {
 }
 
 void HeapMapping::protect(PageId page, Protection prot) {
-  OMSP_DCHECK(page < pages());
-  const int rc = ::mprotect(app_page(page), kHeapPageSize, to_native(prot));
-  OMSP_CHECK_MSG(rc == 0, "mprotect failed");
+  protect_host(page, 1, prot);
   charge_protect(page, prot);
+}
+
+void HeapMapping::protect_host(PageId first, std::size_t count,
+                               Protection prot) {
+  OMSP_DCHECK(count > 0 && first + count <= pages());
+  const int rc =
+      ::mprotect(app_page(first), count * kHeapPageSize, to_native(prot));
+  OMSP_CHECK_MSG(rc == 0, "mprotect failed");
+  host_mprotects_.fetch_add(1, std::memory_order_relaxed);
 }
 
 void HeapMapping::charge_protect(PageId page, Protection prot) {

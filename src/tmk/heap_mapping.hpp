@@ -19,19 +19,31 @@
 // read-write mapping of the backing memfd, used only by the runtime. The
 // distinction matters because the original system's write-enable window is
 // atomic with respect to its (single) application thread — the SIGIO
-// handler interrupts it — while this runtime executes protocol handlers on
-// other host threads, concurrently with application code. Relaxing the app
-// mapping from a handler would open a window where an application store
+// handler interrupts it — while this runtime executes protocol handlers and
+// sibling application threads on other host threads. Relaxing the app
+// mapping for an update would open a window where an application store
 // lands without faulting: no twin, no dirty bit, no write notice, and a
 // later diff from a context holding the pre-window base silently reverts
-// the store (a lost update). Handlers therefore write through the runtime
-// mapping, the app mapping's protections never change, and process mode's
-// extra mprotects are charged via charge_protect() as modeled cost only.
+// the store (a lost update). Updates therefore write through the runtime
+// mapping, and process mode's write-enable mprotects are charged via
+// charge_protect() as modeled cost only.
 //
-// All mprotect calls — real and modeled — are counted on the owning
-// context's StatsBoard and charged to the calling thread's virtual clock.
+// Host and modeled protection. The modeled machine performs, counts and
+// charges one mprotect per page per protection change, exactly as the
+// original system would (Table 3). The host does only the VM work access
+// detection needs: the application mapping's protection follows the
+// context's page state (invalid = PROT_NONE, valid clean = PROT_READ, valid
+// dirty = PROT_READ|WRITE), so an invalid page stays PROT_NONE through its
+// fetch and gets its final protection with one syscall, and an invalidation
+// covers each run of consecutive pages with one protect_host() call while
+// charging every page of the run through charge_protect().
+//
+// All modeled mprotects are counted on the owning context's StatsBoard and
+// charged to the calling thread's virtual clock; host syscalls are counted
+// separately (host_mprotects()).
 #pragma once
 
+#include <atomic>
 #include <cstddef>
 #include <cstdint>
 
@@ -45,11 +57,13 @@ enum class Protection { kNone, kRead, kReadWrite };
 
 class HeapMapping {
 public:
-  // Creates the mappings; `alias` selects dual-mapping (thread) vs single
-  // anonymous mapping (process/original). The heap starts zero-filled with
-  // the application mapping PROT_READ (all pages valid, clean) — the initial
-  // all-zero contents are trivially coherent across contexts. `owner` is the
-  // context the mprotect counters and trace events are attributed to.
+  // Creates the application and runtime mappings of one memfd, in both
+  // modes; `alias` only selects whether the MODELED machine has the alias
+  // mapping (thread mode) or pays the original's write-enable mprotects
+  // (process mode). The heap starts zero-filled with the application mapping
+  // PROT_READ (all pages valid, clean) — the initial all-zero contents are
+  // trivially coherent across contexts. `owner` is the context the mprotect
+  // counters and trace events are attributed to.
   HeapMapping(std::size_t bytes, bool alias, ContextId owner,
               StatsBoard* stats, const sim::CostModel* cost);
   ~HeapMapping();
@@ -78,16 +92,28 @@ public:
     return runtime_base() + static_cast<std::size_t>(p) * kHeapPageSize;
   }
 
-  // Counted, charged page-protection change on the application mapping.
+  // Counted, charged page-protection change on the application mapping: one
+  // host syscall plus the modeled mprotect.
   void protect(PageId page, Protection prot);
 
-  // Account for an mprotect the MODELED machine performs but the host no
-  // longer needs: process mode's write-enable around a runtime update. In
-  // the original system that window is atomic (the handler interrupts the
-  // lone application thread); here the update goes through the runtime
-  // mapping instead, and only the modeled cost is charged — same counter,
-  // trace event and virtual-clock charge as protect(), no syscall.
+  // Account for an mprotect the MODELED machine performs without a syscall
+  // of its own on the host: process mode's write-enable around a runtime
+  // update (the update goes through the runtime mapping instead), and each
+  // page of an invalidated run (one protect_host() call covers the run).
+  // Same counter, trace event and virtual-clock charge as protect().
   void charge_protect(PageId page, Protection prot);
+
+  // Host-only protection change of pages [first, first + count) on the
+  // application mapping, with one syscall. Neither counted on the StatsBoard
+  // nor charged: callers charge the modeled mprotects per page through
+  // charge_protect(), so one host call can serve a run of modeled ones.
+  void protect_host(PageId first, std::size_t count, Protection prot);
+
+  // Host mprotect syscalls issued so far (tests compare it with the modeled
+  // Counter::kMprotect; it is not a StatsBoard counter).
+  std::uint64_t host_mprotects() const {
+    return host_mprotects_.load(std::memory_order_relaxed);
+  }
 
   // Copy the page's current contents into `out` via the runtime mapping,
   // without touching the application mapping's protections. Runtime reads
@@ -113,6 +139,7 @@ private:
   std::uint8_t* app_base_ = nullptr;
   std::uint8_t* runtime_base_ = nullptr;
   bool modeled_alias_ = false;
+  std::atomic<std::uint64_t> host_mprotects_{0};
   ContextId owner_;
   StatsBoard* stats_;
   const sim::CostModel* cost_;

@@ -2,6 +2,9 @@
 // the virtual clock (including the compute-exclusion brackets).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <limits>
+
 #include "sim/cost_model.hpp"
 #include "sim/topology.hpp"
 #include "sim/virtual_clock.hpp"
@@ -103,18 +106,26 @@ TEST(VirtualClock, ThreadLocalBinding) {
 TEST(VirtualClock, RuntimeSectionExcludesHostWork) {
   VirtualClock c(1000.0);
   VirtualClock::Binder bind(&c);
-  c.sync_cpu();
-  const double before = c.now_us();
-  {
-    RuntimeSection rs;
-    // "Runtime work" — must not count as scaled app compute.
-    volatile double sink = 0;
-    for (int i = 0; i < 2000000; ++i) sink = sink + 1;
+  // Host noise only ever adds CPU time to the bracket, so the least of
+  // several trials is its overhead; a counted loop would show in every one.
+  // The loop stays well under a millisecond: on a VM the first kernel exit
+  // after a long user-mode run costs microseconds more the longer the run.
+  double least = std::numeric_limits<double>::infinity();
+  for (int trial = 0; trial < 20; ++trial) {
+    c.sync_cpu();
+    const double before = c.now_us();
+    {
+      RuntimeSection rs;
+      // "Runtime work" — must not count as scaled app compute.
+      volatile double sink = 0;
+      for (int i = 0; i < 200000; ++i) sink = sink + 1;
+    }
+    c.sync_cpu();
+    least = std::min(least, c.now_us() - before);
   }
-  c.sync_cpu();
   // Only the (tiny) bracket overhead may have accrued, not the loop at
-  // 1000x scale (which would be tens of milliseconds of virtual time).
-  EXPECT_LT(c.now_us() - before, 3000.0);
+  // 1000x scale (which would be hundreds of milliseconds of virtual time).
+  EXPECT_LT(least, 3000.0);
 }
 
 } // namespace

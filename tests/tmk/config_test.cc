@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <ostream>
 #include <string>
 
 #include "../common/env_guard.hpp"
@@ -128,6 +129,10 @@ struct BadSpec {
   const char* spec;
   const char* message;
 };
+
+// Without a printer gtest lists the parameter as its raw bytes, which hold
+// string addresses that move with every build, and so would the test names.
+void PrintTo(const BadSpec& s, std::ostream* os) { *os << s.name; }
 
 class ConfigGrammarDeathTest : public ::testing::TestWithParam<BadSpec> {};
 

@@ -77,6 +77,10 @@ INSTANTIATE_TEST_SUITE_P(
         StressParam{4, 1, Mode::kProcess, std::nullopt, "Process4x1"},
         StressParam{2, 2, Mode::kProcess, true, "ProcessAliased"},
         StressParam{2, 1, Mode::kThread, false, "ThreadNoAlias"},
+        // Alias mapping off with sibling threads: a fetch's write-enable is
+        // modeled only, so the page stays inaccessible to a sibling's store
+        // until the fault path installs its final protection.
+        StressParam{2, 2, Mode::kThread, false, "ThreadNoAlias2x2"},
         StressParam{2, 2, Mode::kThread, std::nullopt, "HomeThread",
                     Protocol::kHomeLRC},
         StressParam{4, 1, Mode::kProcess, std::nullopt, "HomeProcess",

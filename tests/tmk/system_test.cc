@@ -7,6 +7,7 @@
 #include <numeric>
 #include <vector>
 
+#include "../common/env_guard.hpp"
 #include "tmk/system.hpp"
 
 namespace omsp::tmk {
@@ -169,6 +170,55 @@ TEST(DsmAsymmetricTest, AsymmetricNodeMixThreadMode) {
   EXPECT_EQ(mismatches.load(), 0);
   for (Rank r = 0; r < dsm.nprocs(); ++r)
     EXPECT_EQ(x[r], 100 + static_cast<int>(r));
+}
+
+// The modeled VM operations (Table 3) of a fixed process-mode program are
+// exact, while the host issues fewer mprotect calls than it models: a
+// fetch's write-enable is charged without a syscall, and an invalidation
+// protects each run of consecutive pages with one call.
+TEST(DsmVmAccounting, ProcessModeCountsExactHostCallsFewer) {
+  const test::ScopedEnvClear env_guard; // the counts are the seed config's
+  Config cfg;
+  cfg.topology = sim::Topology(2, 2);
+  cfg.mode = Mode::kProcess;
+  cfg.heap_bytes = 1u << 20;
+  cfg.cost = sim::CostModel::sp2_default();
+  cfg.cost.cpu_scale = 0;
+  DsmSystem dsm(cfg);
+  const std::uint32_t np = dsm.nprocs();
+  const std::uint32_t kPages = 16; // per rank
+  const std::uint32_t kInts = kPageSize / sizeof(int);
+  auto a = dsm.alloc_page_aligned<int>(np * kPages * kInts);
+
+  dsm.parallel([&](Rank r) {
+    for (std::uint32_t pg = 0; pg < kPages; ++pg)
+      a[(r * kPages + pg) * kInts] = static_cast<int>(r + 1);
+    dsm.barrier();
+    const Rank next = (r + 1) % np;
+    for (std::uint32_t pg = 0; pg < kPages; ++pg) {
+      const std::uint32_t at = (next * kPages + pg) * kInts;
+      a[at + 1] = a[at] + 10;
+    }
+    dsm.barrier();
+  });
+  for (std::uint32_t pg = 0; pg < np * kPages; ++pg) {
+    const int owner = static_cast<int>(pg / kPages) + 1;
+    ASSERT_EQ(a[pg * kInts], owner) << pg;
+    ASSERT_EQ(a[pg * kInts + 1], owner + 10) << pg;
+  }
+
+  const auto s = dsm.stats();
+  EXPECT_EQ(s[Counter::kMprotect], 720u);
+  EXPECT_EQ(s[Counter::kPageFaults], 240u);
+  EXPECT_EQ(s[Counter::kPageInvalidations], 256u);
+  EXPECT_EQ(s[Counter::kTwins], 128u);
+  EXPECT_EQ(s[Counter::kDiffsCreated], 112u);
+  EXPECT_EQ(s[Counter::kDiffsApplied], 144u);
+  EXPECT_EQ(s[Counter::kMsgsSent], 306u);
+  std::uint64_t host = 0;
+  for (ContextId c = 0; c < dsm.num_contexts(); ++c)
+    host += dsm.context(c).heap().host_mprotects();
+  EXPECT_LT(host, s[Counter::kMprotect]);
 }
 
 INSTANTIATE_TEST_SUITE_P(Modes, DsmSystemTest,
