@@ -23,11 +23,14 @@ namespace omsp::sim {
 class VirtualClock {
 public:
   explicit VirtualClock(double cpu_scale = 1.0) : cpu_scale_(cpu_scale) {
-    cpu_base_us_ = thread_cpu_us();
+    if (cpu_scale_ != 0) cpu_base_us_ = thread_cpu_us();
   }
 
-  // Fold the thread's CPU time since the last sample into virtual time.
+  // Fold the thread's CPU time since the last sample into virtual time. At
+  // cpu_scale 0 compute is not measured, and neither this nor skip_cpu reads
+  // the thread CPU clock (a real syscall on some VMs; two per page fault).
   void sync_cpu() {
+    if (cpu_scale_ == 0) return;
     const double now = thread_cpu_us();
     now_us_ += (now - cpu_base_us_) * cpu_scale_;
     cpu_base_us_ = now;
@@ -35,7 +38,9 @@ public:
 
   // Resample the CPU base without accumulating: used when leaving runtime
   // code whose host cost must not count as application compute.
-  void skip_cpu() { cpu_base_us_ = thread_cpu_us(); }
+  void skip_cpu() {
+    if (cpu_scale_ != 0) cpu_base_us_ = thread_cpu_us();
+  }
 
   // Add modeled cost.
   void charge(double us) {
@@ -58,7 +63,6 @@ public:
   double now_us() const { return now_us_; }
   void set_now_us(double t) { now_us_ = t; }
   double cpu_scale() const { return cpu_scale_; }
-  void set_cpu_scale(double s) { cpu_scale_ = s; }
 
   static double thread_cpu_us() {
     timespec ts{};
@@ -91,7 +95,7 @@ public:
 private:
   double now_us_ = 0;
   double cpu_base_us_ = 0;
-  double cpu_scale_;
+  const double cpu_scale_;
 };
 
 // RAII bracket around runtime code: on entry, fold pending app compute into

@@ -46,17 +46,15 @@ std::size_t trace_off() {
   } while (0)
 // Chaos mode (OMSP_CHAOS=<permille>): sleeps a random few microseconds at
 // protocol decision points to shake out interleavings the scheduler would
-// rarely produce. Zero overhead when the variable is unset.
+// rarely produce. Each context reads the variable once, when it is built (so
+// a test sets it before constructing the system); unset, a chaos point costs
+// one compare.
 unsigned chaos_permille() {
-  // Read dynamically (not latched) so tests can toggle chaos per-fixture.
-  // The getenv cost only occurs at protocol decision points, never on the
-  // plain load/store fast path.
   const char* env = std::getenv("OMSP_CHAOS");
   return env != nullptr ? static_cast<unsigned>(std::atoi(env)) : 0u;
 }
 
-void chaos_point() {
-  const unsigned p = chaos_permille();
+void chaos_point(unsigned p) {
   if (p == 0) return;
   thread_local std::uint64_t state =
       0x9e3779b97f4a7c15ULL ^
@@ -80,7 +78,8 @@ constexpr std::size_t kMaxLockedRun = 32;
 void (*testing_home_apply_hook)(ContextId, PageId) = nullptr;
 
 DsmContext::DsmContext(ContextId id, const Config& config, net::Router& router)
-    : config_(config), id_(id), router_(router), stats_(&router.stats(id)),
+    : config_(config), id_(id), chaos_permille_(chaos_permille()),
+      router_(router), stats_(&router.stats(id)),
       heap_(config.heap_bytes, config.use_alias_mapping(), id, stats_,
             &config.cost),
       per_page_locks_(config.use_per_page_fault_lock()) {
@@ -375,7 +374,7 @@ void DsmContext::fetch_and_apply(PageId p, std::unique_lock<std::mutex>& lock) {
     // fetching *our* diffs for the same page (mutual false sharing) and its
     // request handler takes our page lock.
     lock.unlock();
-    chaos_point();
+    chaos_point(chaos_permille_);
     if (overlap_async_fetch()) {
       // Overlapped round: issue every per-creator request at once, then
       // collect. The requests serialize on this sender's occupancy but their
@@ -542,16 +541,7 @@ void DsmContext::handle(ContextId src, net::MsgType type, ByteReader& request,
       }
       body.put<PageId>(p);
       body.put<IntervalSeq>(floor);
-      std::uint32_t count = 0;
-      for (const auto& [seq, bytes] : meta.stored_diffs)
-        if (seq > have) ++count;
-      body.put<std::uint32_t>(count);
-      for (const auto& [seq, bytes] : meta.stored_diffs) {
-        if (seq <= have) continue;
-        body.put<IntervalSeq>(seq);
-        body.put<std::uint64_t>(vt_sum_of_own(seq));
-        body.put_span<std::uint8_t>({bytes.data(), bytes.size()});
-      }
+      put_diffs_above(p, have, body);
     }
 
     // Phase 2: piggybacked records, computed AFTER every flush above so the
@@ -595,16 +585,22 @@ void DsmContext::handle(ContextId src, net::MsgType type, ByteReader& request,
     floor = last_listed_[p];
   }
   reply.put<IntervalSeq>(floor);
+  put_diffs_above(p, have, reply);
+}
 
-  std::uint32_t count = 0;
-  for (const auto& [seq, bytes] : meta.stored_diffs)
-    if (seq > have) ++count;
-  reply.put<std::uint32_t>(count);
-  for (const auto& [seq, bytes] : meta.stored_diffs) {
-    if (seq <= have) continue;
-    reply.put<IntervalSeq>(seq);
-    reply.put<std::uint64_t>(vt_sum_of_own(seq));
-    reply.put_span<std::uint8_t>({bytes.data(), bytes.size()});
+void DsmContext::put_diffs_above(PageId p, IntervalSeq have, ByteWriter& out) {
+  const auto& diffs = pages_[p].stored_diffs; // seq ascending
+  const auto first = std::partition_point(
+      diffs.begin(), diffs.end(),
+      [have](const StoredDiff& d) { return d.seq <= have; });
+  out.put<std::uint32_t>(static_cast<std::uint32_t>(diffs.end() - first));
+  for (auto it = first; it != diffs.end(); ++it) {
+    // A diff is released only once every other context has applied it, and
+    // every request carries have >= the requester's applied_.
+    OMSP_CHECK_MSG(!it->bytes.empty(), "requested diff was already released");
+    out.put<IntervalSeq>(it->seq);
+    out.put<std::uint64_t>(vt_sum_of_own(it->seq));
+    out.put_span<std::uint8_t>({it->bytes.data(), it->bytes.size()});
   }
 }
 
@@ -754,7 +750,7 @@ void DsmContext::fetch_from_home(PageId p,
 }
 
 void DsmContext::flush_page_diff_locked(PageId p) {
-  chaos_point();
+  chaos_point(chaos_permille_);
   PageMeta& meta = pages_[p];
   OMSP_CHECK(meta.twin != nullptr);
   // Write-protect BEFORE diffing: a sibling thread of this node may be
@@ -859,29 +855,43 @@ void DsmContext::flush_page_diff_locked(PageId p) {
               diff.size(), static_cast<int>(meta.state),
               reinterpret_cast<const long*>(meta.twin.get())[trace_off() / 8],
               reinterpret_cast<const long*>(current)[trace_off() / 8]);
+  // Released entries form a prefix, so the page is already on held_pages_
+  // exactly when its newest entry still holds bytes.
+  const bool list_held =
+      !diff.empty() && (meta.stored_diffs.empty() ||
+                        meta.stored_diffs.back().bytes.empty());
   if (!diff.empty()) {
-    stored_diff_bytes_.fetch_add(diff.size(), std::memory_order_relaxed);
-    if (!meta.stored_diffs.empty() && meta.stored_diffs.back().first == tag) {
+    const auto size = static_cast<std::uint32_t>(diff.size());
+    stored_diff_bytes_.fetch_add(size, std::memory_order_relaxed);
+    held_diff_bytes_.fetch_add(size, std::memory_order_relaxed);
+    if (!meta.stored_diffs.empty() && meta.stored_diffs.back().seq == tag) {
       // Same tag means same twin base with no local writes since; the newer
       // scan can only add remote-applied bytes, which equal the twin and
       // thus never appear. Replace defensively.
-      stored_diff_bytes_.fetch_sub(meta.stored_diffs.back().second.size(),
-                                   std::memory_order_relaxed);
-      meta.stored_diffs.back().second = std::move(diff);
+      StoredDiff& last = meta.stored_diffs.back();
+      stored_diff_bytes_.fetch_sub(last.size, std::memory_order_relaxed);
+      held_diff_bytes_.fetch_sub(last.bytes.size(), std::memory_order_relaxed);
+      last.size = size;
+      last.bytes = std::move(diff);
     } else {
       OMSP_CHECK(meta.stored_diffs.empty() ||
-                 meta.stored_diffs.back().first < tag);
-      meta.stored_diffs.emplace_back(tag, std::move(diff));
+                 meta.stored_diffs.back().seq < tag);
+      meta.stored_diffs.push_back(StoredDiff{tag, size, std::move(diff)});
     }
   }
   meta.twin.reset();
   {
     std::lock_guard<std::mutex> dl(dirty_mutex_);
     dirty_.reset(p);
+    if (list_held) held_pages_.push_back(p);
   }
 }
 
 std::optional<IntervalRecord> DsmContext::close_interval() {
+  // Home-based: held until this close's diffs reached their homes, so the
+  // record published below never leaves ahead of them (records_unknown_to).
+  std::unique_lock<std::mutex> close_lock(close_mutex_, std::defer_lock);
+  if (config_.protocol == Protocol::kHomeLRC) close_lock.lock();
   // Atomic under the table lock: the interval's record, its vector time, the
   // per-page "newest listing" marks and the watermark all publish together,
   // so a concurrent flush can never observe a half-closed interval.
@@ -1006,7 +1016,7 @@ std::optional<IntervalRecord> DsmContext::close_interval() {
 
 void DsmContext::apply_records(const std::vector<IntervalRecord>& records,
                                bool sync) {
-  chaos_point();
+  chaos_point(chaos_permille_);
   std::vector<PageId> to_invalidate;
   std::uint64_t notices = 0;
   {
@@ -1104,6 +1114,12 @@ void DsmContext::invalidate_run(PageId first, std::size_t n) {
 
 std::vector<IntervalRecord>
 DsmContext::records_unknown_to(const VectorTime& other_vt) {
+  // Home-based: wait out a close of this context still posting its diffs
+  // (a barrier arrival racing a lock grant). A record that left first would
+  // let a reader — even the home, reading its own copy — see the notice
+  // before the bytes; fetch_from_home relies on the diffs being there.
+  std::unique_lock<std::mutex> close_lock(close_mutex_, std::defer_lock);
+  if (config_.protocol == Protocol::kHomeLRC) close_lock.lock();
   std::vector<IntervalRecord> out;
   std::lock_guard<std::mutex> tl(table_mutex_);
   for (ContextId c = 0; c < nc_; ++c) {
@@ -1166,6 +1182,38 @@ std::size_t DsmContext::stored_diff_count(PageId p) {
   return pages_[p].stored_diffs.size();
 }
 
+IntervalSeq DsmContext::applied_seq(PageId p, ContextId creator) {
+  std::lock_guard<std::mutex> tl(table_mutex_);
+  return applied_[std::size_t{p} * nc_ + creator];
+}
+
+void DsmContext::release_applied_diffs(
+    const std::function<IntervalSeq(PageId)>& applied_by_all) {
+  std::vector<PageId> held;
+  {
+    std::lock_guard<std::mutex> dl(dirty_mutex_);
+    held.swap(held_pages_);
+  }
+  std::vector<PageId> still_held;
+  for (PageId p : held) {
+    const IntervalSeq upto = applied_by_all(p); // takes peers' table locks
+    std::lock_guard<std::mutex> pl(page_lock(p));
+    auto& diffs = pages_[p].stored_diffs;
+    // Released entries form a prefix: `upto` never decreases (applied_ only
+    // grows), and only the last entry is ever refilled (same-tag replace).
+    auto it = std::partition_point(
+        diffs.begin(), diffs.end(),
+        [](const StoredDiff& d) { return d.bytes.empty(); });
+    for (; it != diffs.end() && it->seq <= upto; ++it) {
+      held_diff_bytes_.fetch_sub(it->bytes.size(), std::memory_order_relaxed);
+      DiffBytes().swap(it->bytes);
+    }
+    if (it != diffs.end()) still_held.push_back(p);
+  }
+  std::lock_guard<std::mutex> dl(dirty_mutex_);
+  held_pages_.insert(held_pages_.end(), still_held.begin(), still_held.end());
+}
+
 void DsmContext::validate_all_pages() {
   for (PageId p = 0; p < pages_.size(); ++p) {
     std::unique_lock<std::mutex> lock(page_lock(p));
@@ -1194,10 +1242,18 @@ void DsmContext::collect_garbage() {
   // records_unknown_to loops are empty for all peers from here.
   for (PageId p = 0; p < pages_.size(); ++p) {
     std::lock_guard<std::mutex> pl(page_lock(p));
-    for (const auto& [seq, bytes] : pages_[p].stored_diffs)
-      stored_diff_bytes_.fetch_sub(bytes.size(), std::memory_order_relaxed);
-    pages_[p].stored_diffs.clear();
-    pages_[p].stored_diffs.shrink_to_fit();
+    PageMeta& meta = pages_[p];
+    // A released diff's bytes are gone, but its modeled size still counts.
+    for (const StoredDiff& d : meta.stored_diffs) {
+      stored_diff_bytes_.fetch_sub(d.size, std::memory_order_relaxed);
+      held_diff_bytes_.fetch_sub(d.bytes.size(), std::memory_order_relaxed);
+    }
+    meta.stored_diffs.clear();
+    meta.stored_diffs.shrink_to_fit();
+  }
+  {
+    std::lock_guard<std::mutex> dl(dirty_mutex_);
+    held_pages_.clear();
   }
   std::lock_guard<std::mutex> tl(table_mutex_);
   for (ContextId c = 0; c < nc_; ++c) {

@@ -42,8 +42,11 @@
 //   table_mutex_  — guards vt/interval table/pending/applied/last_listed.
 //                   May be taken while holding a page lock, never the other
 //                   way round.
-//   dirty_mutex_  — guards the dirty-page bitset; leaf lock (may nest inside
-//                   both of the above).
+//   dirty_mutex_  — guards the dirty-page bitset and the held-page list;
+//                   leaf lock (may nest inside both of the above).
+//   close_mutex_  — home-based protocol only; taken first, by close_interval
+//                   (held across its diff sends, whose home handlers take
+//                   only the home's page locks) and records_unknown_to.
 // Remote handlers only take locks of the *target* context and never call out
 // while holding them, so the wait-for graph has no cross-context cycles.
 #pragma once
@@ -51,6 +54,7 @@
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <map>
 #include <mutex>
@@ -154,10 +158,27 @@ public:
   void flush_all_diffs();
 
   // --- garbage collection (quiescent barriers only) --------------------------
-  // Bytes of stored diffs currently held for remote consumption.
+  // Modeled bytes of stored diffs: what the original system keeps for remote
+  // consumption until GC (and what triggers it). Released diffs still count.
   std::size_t stored_diff_bytes() const {
     return stored_diff_bytes_.load(std::memory_order_relaxed);
   }
+  // Host bytes of stored diffs not yet released (release_applied_diffs). Not
+  // a StatsBoard counter: host memory, not modeled protocol state.
+  std::size_t held_diff_bytes() const {
+    return held_diff_bytes_.load(std::memory_order_relaxed);
+  }
+  // Newest diff seq of `creator` this context has applied for page p.
+  IntervalSeq applied_seq(PageId p, ContextId creator);
+  // Free the bytes of each stored diff of a page p whose seq is at most
+  // applied_by_all(p): the newest seq of this context's diffs for p that
+  // every other context has applied. Keeps each entry's seq and modeled
+  // size. Only sound at a quiescent point (no request in flight): applied_
+  // only grows and every later request for p carries have >= applied_, so a
+  // released diff is never shipped again. Costs one call per page still
+  // holding bytes.
+  void release_applied_diffs(
+      const std::function<IntervalSeq(PageId)>& applied_by_all);
   // Bring every page up to date (fetch all pending diffs). Caller must
   // guarantee no concurrent application activity (all threads at a barrier).
   void validate_all_pages();
@@ -202,6 +223,15 @@ public:
   void race_collect_pending();
 
 private:
+  // One diff this context created for a page. `size` is its modeled size,
+  // kept until GC; `bytes` is the host copy, emptied once every other
+  // context has applied it (a stored diff is never empty before that).
+  struct StoredDiff {
+    IntervalSeq seq = 0;
+    std::uint32_t size = 0;
+    DiffBytes bytes;
+  };
+
   struct PageMeta {
     // The host application mapping's protection follows `state` (kInvalid
     // = PROT_NONE, kRead = PROT_READ, kReadWrite = PROT_READ|WRITE).
@@ -243,7 +273,7 @@ private:
     // current-epoch bytes (attribute to the freshly minted interval).
     IntervalSeq race_collected_seq = 0;
     // Per-interval diffs created by this context for this page, seq ascending.
-    std::vector<std::pair<IntervalSeq, DiffBytes>> stored_diffs;
+    std::vector<StoredDiff> stored_diffs;
   };
 
   struct IntervalInfo {
@@ -261,6 +291,9 @@ private:
   // Creator-side: turn the outstanding twin into a stored diff, minting a
   // fresh interval when the twin holds unpublished writes. Frees the twin.
   void flush_page_diff_locked(PageId p);
+  // Serialize the count and the (seq, vt sum, bytes) of every stored diff of
+  // p tagged above `have` — the body of both diff-request replies.
+  void put_diffs_above(PageId p, IntervalSeq have, ByteWriter& out);
   // Protection change that accompanies a page-state change: one host
   // mprotect, plus the modeled one unless PageMeta.prot is already `prot`.
   void set_prot(PageId p, Protection prot);
@@ -338,6 +371,8 @@ private:
   const Config& config_;
   ContextId id_;
   std::uint32_t nc_ = 0; // cached num_contexts
+  // OMSP_CHAOS, read once at construction (context.cc, chaos_point).
+  const unsigned chaos_permille_;
   net::Router& router_;
   StatsBoard* stats_;
   race::Detector* race_ = nullptr;
@@ -356,10 +391,20 @@ private:
 
   std::vector<PageMeta> pages_;
 
+  // Home-based protocol only: held by close_interval from before the
+  // record is published until its diffs reached their homes, and taken by
+  // records_unknown_to, so no record leaves ahead of its diffs.
+  std::mutex close_mutex_;
+
   std::mutex dirty_mutex_;
   DynamicBitset dirty_;
+  // Pages whose newest stored diff still holds bytes, so a release pass
+  // visits those and no others. Released diffs form a prefix of a page's
+  // stored_diffs, so these are exactly the pages holding any bytes.
+  std::vector<PageId> held_pages_;
 
   std::atomic<std::size_t> stored_diff_bytes_{0};
+  std::atomic<std::size_t> held_diff_bytes_{0};
 
   std::mutex table_mutex_;
   VectorTime vt_;

@@ -1,6 +1,7 @@
 #include "tmk/system.hpp"
 
 #include <algorithm>
+#include <limits>
 
 #include "common/check.hpp"
 
@@ -223,6 +224,10 @@ void DsmSystem::parallel(const std::function<void(Rank)>& fn) {
   // until the next fork, so the rings can be drained safely (after any
   // fire-and-forget transport jobs — perturbation duplicates — finish).
   router_->transport().quiesce();
+  {
+    sim::RuntimeSection rs; // host work, not the master's sequential compute
+    release_applied_diffs();
+  }
   if (tracer_ != nullptr) tracer_->drain_all();
 
   in_parallel_ = false;
@@ -317,6 +322,7 @@ void DsmSystem::barrier() {
     // Every other worker is parked in the wait below — a quiescent point;
     // drain so per-episode event volume, not per-run, sizes the rings.
     router_->transport().quiesce();
+    release_applied_diffs();
     if (tracer_ != nullptr) tracer_->drain_all();
     std::fill(bar_ctx_arrived_.begin(), bar_ctx_arrived_.end(), 0);
     std::fill(bar_ctx_ready_.begin(), bar_ctx_ready_.end(), 0.0);
@@ -678,6 +684,17 @@ void DsmSystem::maybe_collect_garbage() {
   // buffered prefetch entries are stale; drop them with the rest of the
   // history so requester-side buffers do not outlive the GC they survived.
   for (ContextId c = 0; c < nc; ++c) contexts_[c]->clear_prefetch_buffer();
+}
+
+void DsmSystem::release_applied_diffs() {
+  const std::uint32_t nc = config_.num_contexts();
+  for (ContextId a = 0; a < nc; ++a)
+    contexts_[a]->release_applied_diffs([&](PageId p) {
+      IntervalSeq upto = std::numeric_limits<IntervalSeq>::max();
+      for (ContextId c = 0; c < nc; ++c)
+        if (c != a) upto = std::min(upto, contexts_[c]->applied_seq(p, a));
+      return upto;
+    });
 }
 
 GlobalAddr DsmSystem::shared_malloc(std::size_t bytes, std::size_t align) {

@@ -141,6 +141,11 @@ private:
   // TreadMarks-style GC, run by the barrier manager when stored diffs exceed
   // the configured threshold: validate everything, then drop history.
   void maybe_collect_garbage();
+  // Free the host bytes of every stored diff that all other contexts have
+  // applied (DsmContext::release_applied_diffs). Runs at the quiescent points
+  // — the end of a barrier episode and after the join — once quiesce() has
+  // drained every in-flight or duplicate request. Modeled state is untouched.
+  void release_applied_diffs();
   // Tree-mode barrier episode (config_.coll.tree): reduce interval records
   // up the topology-derived leader tree, broadcast departures down it. Runs
   // entirely on the last-arriving thread under bar_mutex_, so the traversal

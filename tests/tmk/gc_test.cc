@@ -57,6 +57,30 @@ TEST(GarbageCollection, DisabledKeepsHistory) {
   EXPECT_GT(total_stored(dsm), 0u);
 }
 
+// GC subtracts each stored diff's modeled size, also for diffs whose host
+// bytes a join already released.
+TEST(GarbageCollection, AfterDiffReleaseDropsModeledVolume) {
+  DsmSystem dsm(gc_cfg(/*threshold=*/1));
+  const std::uint32_t np = dsm.nprocs();
+  const std::uint32_t kLongs = kPageSize / sizeof(long);
+  auto x = dsm.alloc_page_aligned<long>(np * kLongs);
+  dsm.parallel([&](Rank r) {
+    for (std::uint32_t i = 0; i < kLongs; i += 2) x[r * kLongs + i] = r + 1;
+  });
+  dsm.parallel([&](Rank) {
+    for (std::uint32_t i = 0; i < np * kLongs; i += 2)
+      EXPECT_EQ(x[i], static_cast<long>(i / kLongs) + 1) << i;
+  });
+  std::size_t held = 0;
+  for (ContextId c = 0; c < dsm.num_contexts(); ++c)
+    held += dsm.context(c).held_diff_bytes();
+  EXPECT_EQ(held, 0u) << "every context applied every diff";
+  ASSERT_GT(total_stored(dsm), 0u);
+
+  dsm.parallel([&](Rank) { dsm.barrier(); }); // GCs
+  EXPECT_EQ(total_stored(dsm), 0u);
+}
+
 TEST(GarbageCollection, TriangularStressWithAggressiveGc) {
   // The protocol-hostile MGS pattern with GC at every barrier: results must
   // be identical to the reference (GC may never lose a byte).

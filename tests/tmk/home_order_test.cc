@@ -18,6 +18,9 @@
 // second region whose writer would revert the store if the notice were
 // lost. Pre-fix this fails with a[0] == 2; with the runtime-mapping fix
 // the store faults, is twin-tracked, and the final value is exact.
+//
+// The same seam pins a second ordering: an interval's record must not reach
+// anyone (the home included) before its diffs reached their homes.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -120,6 +123,63 @@ TEST(HomeApplyOrdering, HomeStoreDuringDiffApplyIsNeverLost) {
 
   EXPECT_EQ(a[xi], 42) << "home application store was lost to a stale diff";
   EXPECT_EQ(a[yi], 7);
+}
+
+// A lock grant must not hand out an interval's record while another thread
+// is still posting that interval's diff to the home. Context 1's barrier
+// arrival closes the interval holding rank 2's store and its diff parks at
+// the home (context 0); rank 0 then takes a lock last cached at context 1.
+// The grant's close of context 1 finds nothing dirty, and without waiting
+// for the close in flight the record went out at once: the home skipped the
+// invalidation and rank 0 read its own stale copy (1).
+TEST(HomeApplyOrdering, GrantWaitsForDiffsOfConcurrentClose) {
+  Config cfg;
+  cfg.topology = sim::Topology(2, 2); // ctx 0: ranks 0, 1; ctx 1: ranks 2, 3
+  cfg.mode = Mode::kThread;
+  cfg.protocol = Protocol::kHomeLRC;
+  cfg.cost = sim::CostModel::zero();
+  DsmSystem dsm(cfg);
+
+  auto a = dsm.alloc_page_aligned<long>(1024);
+  const PageId first = static_cast<PageId>(a.addr() / 4096);
+  const std::size_t xi = (first % 2 == 0) ? 0 : 512;
+  const PageId target = (first % 2 == 0) ? first : first + 1;
+  a[xi] = 1;
+
+  Rendezvous rv;
+  rv.page.store(target);
+  g_rv = &rv;
+  testing_home_apply_hook = &park_in_apply_window;
+  rv.armed.store(true);
+
+  const LockId kLock = 1; // cached at context 1, its manager, until granted
+  long seen = 0;
+  dsm.parallel([&](Rank r) {
+    if (r == 2) a[xi] = 41;
+    if (r == 0) {
+      std::unique_lock<std::mutex> lk(rv.m);
+      rv.cv.wait_for(lk, std::chrono::seconds(10),
+                     [&] { return rv.in_window; });
+    }
+    if (r == 0 && rv.fired.load()) {
+      dsm.lock_acquire(kLock);
+      seen = a[xi];
+      dsm.lock_release(kLock);
+      {
+        std::lock_guard<std::mutex> lk(rv.m);
+        rv.store_done = true;
+      }
+      rv.cv.notify_all();
+    }
+    dsm.barrier();
+  });
+  testing_home_apply_hook = nullptr;
+  g_rv = nullptr;
+
+  ASSERT_TRUE(rv.fired.load())
+      << "context 1's close-time diff never reached the home apply hook";
+  EXPECT_EQ(seen, 41) << "the grant's record overtook the diff to the home";
+  EXPECT_EQ(a[xi], 41);
 }
 
 // The hook seam is also exercised with the page already writable at the

@@ -221,6 +221,48 @@ TEST(DsmVmAccounting, ProcessModeCountsExactHostCallsFewer) {
   EXPECT_LT(host, s[Counter::kMprotect]);
 }
 
+// A stored diff's host bytes are freed at the first quiescent point after
+// every other context has applied it, and not before; its modeled size stays
+// in stored_diff_bytes() (the GC trigger) until GC. The last region ships a
+// newer diff of the same page past the released one (under overlap=on, from
+// barrier-time prefetch).
+TEST(DiffRelease, LateConsumerHoldsUntilApplied) {
+  DsmSystem dsm(small_config(Mode::kProcess)); // one context per rank
+  DsmContext& master = dsm.context(0);
+  auto x = dsm.alloc_page_aligned<long>(kPageSize / sizeof(long));
+  const PageId p = static_cast<PageId>(x.addr() / kPageSize);
+  x[0] = 42;
+  dsm.parallel([&](Rank r) {
+    if (r == 1 || r == 2) {
+      EXPECT_EQ(x[0], 42);
+    }
+  });
+  const std::size_t stored = master.stored_diff_bytes();
+  ASSERT_GT(stored, 0u);
+  EXPECT_EQ(master.stored_diff_count(p), 1u);
+  EXPECT_EQ(master.held_diff_bytes(), stored) << "rank 3 has not applied it";
+
+  dsm.parallel([&](Rank r) {
+    if (r == 3) {
+      EXPECT_EQ(x[0], 42);
+    }
+  });
+  EXPECT_EQ(master.held_diff_bytes(), 0u);
+  EXPECT_EQ(master.stored_diff_bytes(), stored);
+  EXPECT_EQ(master.stored_diff_count(p), 1u);
+
+  dsm.parallel([&](Rank r) {
+    if (r == 0) x[1] = 43;
+    dsm.barrier();
+    if (r != 0) {
+      EXPECT_EQ(x[0] + x[1], 85);
+    }
+  });
+  EXPECT_EQ(master.stored_diff_count(p), 2u);
+  EXPECT_GT(master.stored_diff_bytes(), stored);
+  EXPECT_EQ(master.held_diff_bytes(), 0u);
+}
+
 INSTANTIATE_TEST_SUITE_P(Modes, DsmSystemTest,
                          ::testing::Values(Mode::kThread, Mode::kProcess),
                          [](const auto& info) {
