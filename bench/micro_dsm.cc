@@ -5,9 +5,7 @@
 #include <benchmark/benchmark.h>
 
 #include <cstring>
-#include <memory>
 
-#include "common/buffer_pool.hpp"
 #include "common/check.hpp"
 #include "common/rng.hpp"
 #include "common/serialize.hpp"
@@ -155,28 +153,6 @@ void BM_TwinCopy(benchmark::State& state) {
   state.SetBytesProcessed(state.iterations() * kPageSize);
 }
 BENCHMARK(BM_TwinCopy);
-
-// Twin provisioning: pooled blocks (arg 1, what the write-fault path does
-// now) against a fresh zeroed allocation per twin (arg 0, the pre-PR path).
-void BM_TwinProvision(benchmark::State& state) {
-  alignas(64) std::uint8_t src[kPageSize];
-  std::memset(src, 0x5a, sizeof src);
-  PagePool pool(kPageSize);
-  const bool pooled = state.range(0) != 0;
-  for (auto _ : state) {
-    if (pooled) {
-      auto twin = pool.acquire();
-      std::memcpy(twin.get(), src, kPageSize);
-      benchmark::DoNotOptimize(twin.get());
-    } else {
-      auto twin = std::make_unique<std::uint8_t[]>(kPageSize);
-      std::memcpy(twin.get(), src, kPageSize);
-      benchmark::DoNotOptimize(twin.get());
-    }
-  }
-  state.SetBytesProcessed(state.iterations() * kPageSize);
-}
-BENCHMARK(BM_TwinProvision)->Arg(0)->Arg(1)->ArgName("pooled");
 
 void BM_SerializeRecords(benchmark::State& state) {
   std::vector<IntervalRecord> recs;

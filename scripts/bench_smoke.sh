@@ -7,8 +7,8 @@
 # WALL-CLOCK seconds ("wall_clock_s") — modeled results answer "is the
 # simulation right", the wall-clock column answers "how long does the
 # simulator itself take". The diff-kernel microbenchmarks (scalar vs SIMD
-# create, apply, twin provisioning) are folded in under "micro_diff_kernels"
-# when bench/micro_dsm is built.
+# create, apply, twin copy) are folded in under "micro_diff_kernels" when
+# bench/micro_dsm is built.
 #
 #   scripts/bench_smoke.sh [--build-dir <dir>] [--out <file>] [--update-baseline]
 #
@@ -138,9 +138,9 @@ done
     --json "$TMP/scale_seed1_rerun.json" >/dev/null
 
 # Diff-kernel microbenches (host nanoseconds): scalar vs SIMD create, the
-# checked apply vs the reference loop, pooled twin provisioning. Medians
-# over 5 repetitions with random interleaving so the scalar/SIMD ratio is
-# robust to frequency drift.
+# checked apply vs the reference loop, the twin copy. Medians over 5
+# repetitions with random interleaving so the scalar/SIMD ratio is robust to
+# frequency drift.
 if [ -x "$BUILD_DIR/bench/micro_dsm" ]; then
   echo "== micro_dsm diff kernels =="
   "$BUILD_DIR/bench/micro_dsm" \
@@ -263,8 +263,6 @@ if os.path.exists(f"{tmp}/micro.json"):
         "apply_prepr_over_new": {
             f"{p}pct": ratio(f"BM_DiffApplyRef/{p}", f"BM_DiffApply/{p}")
             for p in (5, 25, 100)},
-        "twin_unpooled_over_pooled":
-            ratio("BM_TwinProvision/pooled:0", "BM_TwinProvision/pooled:1"),
     }
     c5 = micro["create_scalar_over_simd"]["5pct"]
     c25 = micro["create_scalar_over_simd"]["25pct"]

@@ -212,7 +212,6 @@ QueuedTransport::call_async_with_dups(const Envelope& env,
   job.dst = env.dst;
   job.type = env.type;
   job.trace_flags = env.trace_flags;
-  job.payload = payload_pool_.acquire();
   job.payload.assign(env.payload.begin(), env.payload.end());
   job.arrive_us = (clock != nullptr ? clock->now_us() : 0) + req_cost;
 
@@ -236,7 +235,6 @@ QueuedTransport::call_async_with_dups(const Envelope& env,
     r.dst = d.env.dst;
     r.type = d.env.type;
     r.trace_flags = d.env.trace_flags;
-    r.payload = payload_pool_.acquire();
     r.payload.assign(d.env.payload.begin(), d.env.payload.end());
     r.arrive_us = job.arrive_us + std::max(0.0, d.delay_us);
     riders.push_back(std::move(r));
@@ -324,7 +322,6 @@ void QueuedTransport::service(ContextId dst, Job& job, Worker& w) {
   ByteWriter reply;
   ByteReader reader(std::span<const std::uint8_t>(job.payload.data(), job.payload.size()));
   handler->handle(job.src, job.type, reader, reply);
-  payload_pool_.release(std::move(job.payload));
 
   Envelope rep;
   rep.src = dst;

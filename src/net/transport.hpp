@@ -66,7 +66,6 @@
 #include <unordered_map>
 #include <vector>
 
-#include "common/buffer_pool.hpp"
 #include "common/rng.hpp"
 #include "common/serialize.hpp"
 #include "common/types.hpp"
@@ -402,12 +401,6 @@ private:
   std::vector<std::unique_ptr<Worker>> workers_;
   std::atomic<bool> stop_{false};
   std::atomic<std::uint64_t> issue_seq_{0};
-
-  // Recycles Job payload buffers: every call_async copies the caller's
-  // serialized request into the job (the caller's ByteWriter dies before the
-  // worker runs), which used to be a fresh allocation per request. Workers
-  // release the payload back after service.
-  BufferPool payload_pool_;
 
   // quiesce(): callers wait until no queued or in-service job remains.
   std::mutex idle_mutex_;

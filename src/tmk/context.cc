@@ -195,14 +195,13 @@ bool DsmContext::charge_write_enable(PageId p) {
 void DsmContext::make_twin(PageId p) {
   PageMeta& meta = pages_[p];
   OMSP_CHECK(meta.twin == nullptr);
-  // Pooled block (recycled across twins); snapshot_page fills all of it, so
-  // stale contents from a previous life never matter.
-  meta.twin = twin_pool_.acquire();
+  // Uninitialized: snapshot_page fills every byte.
+  meta.twin = std::make_unique_for_overwrite<std::uint8_t[]>(kPageSize);
   heap_.snapshot_page(p, meta.twin.get());
   if (race_ != nullptr) {
     // The detector's collection baseline starts out identical to the twin
     // and then tracks "content at last collection" (see PageMeta::race_twin).
-    meta.race_twin = twin_pool_.acquire();
+    meta.race_twin = std::make_unique_for_overwrite<std::uint8_t[]>(kPageSize);
     std::memcpy(meta.race_twin.get(), meta.twin.get(), kPageSize);
     // A fresh twin has no uncollected bytes: mark it collected up to the
     // newest listing so a pre-sweep flush attributes new writes to its mint
@@ -693,13 +692,13 @@ void DsmContext::fetch_from_home(PageId p,
     if (meta.twin != nullptr) {
       std::uint8_t snapshot[kPageSize];
       heap_.snapshot_page(p, snapshot);
-      create_diff_into(meta.twin.get(), snapshot, local_delta, kPageSize);
+      local_delta = create_diff(meta.twin.get(), snapshot, kPageSize);
       // Local writes the detector already collected live only in the race
       // baseline (race_twin − twin); capture them so the rebase below can
       // carry them onto the fetched image.
       if (meta.race_twin != nullptr)
-        create_diff_into(meta.twin.get(), meta.race_twin.get(),
-                         attributed_delta, kPageSize);
+        attributed_delta =
+            create_diff(meta.twin.get(), meta.race_twin.get(), kPageSize);
     }
 
     lock.unlock();
@@ -1135,16 +1134,6 @@ DsmContext::records_unknown_to(const VectorTime& other_vt) {
   return out;
 }
 
-std::vector<IntervalRecord> DsmContext::own_records_since(IntervalSeq since) {
-  std::vector<IntervalRecord> out;
-  std::lock_guard<std::mutex> tl(table_mutex_);
-  for (IntervalSeq seq = since + 1; seq <= vt_[id_]; ++seq) {
-    const IntervalInfo& info = table_[id_][seq - 1 - table_base_[id_]];
-    out.push_back(IntervalRecord{id_, seq, info.vt, info.pages});
-  }
-  return out;
-}
-
 VectorTime DsmContext::vt_snapshot() {
   std::lock_guard<std::mutex> tl(table_mutex_);
   return vt_;
@@ -1260,13 +1249,6 @@ void DsmContext::collect_garbage() {
     table_base_[c] = vt_[c];
     table_[c].clear();
     table_[c].shrink_to_fit();
-  }
-}
-
-void DsmContext::flush_all_diffs() {
-  for (PageId p = 0; p < pages_.size(); ++p) {
-    std::lock_guard<std::mutex> pl(page_lock(p));
-    if (pages_[p].twin != nullptr) flush_page_diff_locked(p);
   }
 }
 

@@ -63,7 +63,6 @@
 #include <vector>
 
 #include "common/bitset.hpp"
-#include "common/buffer_pool.hpp"
 #include "common/stats.hpp"
 #include "common/types.hpp"
 #include "net/router.hpp"
@@ -135,9 +134,6 @@ public:
   // lock-grant, barrier and diff-reply payloads.
   std::vector<IntervalRecord> records_unknown_to(const VectorTime& other_vt);
 
-  // This context's own records with seq > since (test hook).
-  std::vector<IntervalRecord> own_records_since(IntervalSeq since);
-
   VectorTime vt_snapshot();
   // The synchronization-only clock (see sync_vt_): what this context knows
   // through real sync edges alone. This is what sync_cover() on a peer
@@ -150,12 +146,6 @@ public:
   PageState page_state(PageId p);
   bool page_dirty(PageId p);
   std::size_t stored_diff_count(PageId p);
-  // Pool introspection: free blocks currently parked in the twin pool.
-  std::size_t twin_pool_free() const { return twin_pool_.free_count(); }
-
-  // Eagerly flush all dirty pages to diffs (the !lazy_diffs ablation; also a
-  // test hook).
-  void flush_all_diffs();
 
   // --- garbage collection (quiescent barriers only) --------------------------
   // Modeled bytes of stored diffs: what the original system keeps for remote
@@ -257,16 +247,15 @@ private:
     // twin. While set, the twin may hold writes not yet covered by any
     // published interval, so the flush must mint a fresh interval for them.
     bool written_since_flush = false;
-    // Pooled 4 KB block (PagePool::Handle returns it to twin_pool_ on reset;
-    // same null/reset discipline as the unique_ptr it replaced).
-    PagePool::Handle twin;
+    // kPageSize bytes, filled in full when made (make_twin).
+    std::unique_ptr<std::uint8_t[]> twin;
     // Race-detection baseline (detector on only): the page content at the
     // last time the detector collected this page's delta. Born equal to the
     // twin, advanced to the current content at every collection, and patched
     // with the same remote bytes as the twin — so (current − race_twin) is
     // exactly the local writes not yet attributed to an interval, while the
     // protocol twin keeps its own lifecycle untouched. Dies with the twin.
-    PagePool::Handle race_twin;
+    std::unique_ptr<std::uint8_t[]> race_twin;
     // Newest own interval seq whose close (or the sweep) has collected this
     // page's delta. Lets a fetch-forced flush tell pre-close bytes (a close
     // listed p but has not collected it yet — attribute to that close) from
@@ -382,12 +371,6 @@ private:
   std::unique_ptr<std::mutex[]> page_mutexes_;
   std::mutex coarse_page_mutex_;
   std::condition_variable_any fetch_cv_;
-
-  // Free-list pool for the fault path's twins. Declared BEFORE pages_:
-  // PageMeta.twin handles return their blocks to twin_pool_ on destruction,
-  // so the pool must outlive the page table (members destroy in reverse
-  // declaration order).
-  PagePool twin_pool_{kPageSize};
 
   std::vector<PageMeta> pages_;
 

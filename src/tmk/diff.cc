@@ -5,19 +5,14 @@
 
 #include "common/check.hpp"
 
-// Build-time kernel selection. The compare kernels only read memory and
+// Build-time kernel selection: src/tmk/CMakeLists.txt compiles this file
+// with -mavx2 when the build host runs AVX2, and the portable 64-bit word
+// kernel serves every other host. The compare kernels only read memory and
 // produce per-byte difference masks; the run encoding itself is shared, so
-// every kernel emits byte-identical diffs (asserted by the property tests).
-// -DOMSP_DIFF_PORTABLE (cmake -DOMSP_SIMD=portable) forces the word kernel
-// even on x86 so CI can exercise the fallback.
-#if defined(OMSP_DIFF_PORTABLE)
-#define OMSP_DIFF_KERNEL_NAME "portable64"
-#elif defined(__AVX2__)
+// both kernels emit byte-identical diffs (asserted by the property tests).
+#if defined(__AVX2__)
 #include <immintrin.h>
 #define OMSP_DIFF_KERNEL_NAME "avx2"
-#elif defined(__SSE2__)
-#include <emmintrin.h>
-#define OMSP_DIFF_KERNEL_NAME "sse2"
 #else
 #define OMSP_DIFF_KERNEL_NAME "portable64"
 #endif
@@ -110,26 +105,22 @@ inline std::uint64_t load_u64(const std::uint8_t* p) {
 
 // Per-byte difference mask of one 8-byte word (bit b set iff byte b
 // differs), used by the portable kernel and every tail smaller than the
-// vector width.
+// vector width. Branch-free: t keeps the high bit of each nonzero byte of x
+// (adding 0x7f to the low seven bits carries into bit 7 unless they are all
+// zero), and the multiply gathers those eight bits into the top byte; the
+// products land on distinct bit positions, so no carry disturbs them.
 inline std::uint64_t word_mask(const std::uint8_t* twin,
                                const std::uint8_t* cur) {
+  constexpr std::uint64_t kLow7 = 0x7f7f7f7f7f7f7f7fULL;
   const std::uint64_t x = load_u64(twin) ^ load_u64(cur);
-  if (x == 0) return 0;
-  std::uint64_t m = 0;
-  for (unsigned b = 0; b < 8; ++b)
-    if ((x >> (8 * b)) & 0xff) m |= std::uint64_t{1} << b;
-  return m;
+  const std::uint64_t t = (((x & kLow7) + kLow7) | x) & ~kLow7;
+  return ((t >> 7) * 0x0102040810204080ULL) >> 56;
 }
 
 // Per-byte difference mask of one 64-byte block.
 inline std::uint64_t block_mask64(const std::uint8_t* twin,
                                   const std::uint8_t* cur) {
-#if defined(OMSP_DIFF_PORTABLE)
-  std::uint64_t m = 0;
-  for (unsigned w = 0; w < 8; ++w)
-    m |= word_mask(twin + 8 * w, cur + 8 * w) << (8 * w);
-  return m;
-#elif defined(__AVX2__)
+#if defined(__AVX2__)
   const __m256i t0 = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(twin));
   const __m256i c0 = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(cur));
   const __m256i t1 =
@@ -142,18 +133,6 @@ inline std::uint64_t block_mask64(const std::uint8_t* twin,
       _mm256_movemask_epi8(_mm256_cmpeq_epi8(t1, c1)));
   return ~(static_cast<std::uint64_t>(eq0) |
            (static_cast<std::uint64_t>(eq1) << 32));
-#elif defined(__SSE2__)
-  std::uint64_t eq = 0;
-  for (unsigned i = 0; i < 4; ++i) {
-    const __m128i t =
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(twin + 16 * i));
-    const __m128i c =
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(cur + 16 * i));
-    eq |= static_cast<std::uint64_t>(
-              static_cast<std::uint16_t>(_mm_movemask_epi8(_mm_cmpeq_epi8(t, c))))
-          << (16 * i);
-  }
-  return ~eq;
 #else
   std::uint64_t m = 0;
   for (unsigned w = 0; w < 8; ++w)
@@ -166,8 +145,8 @@ inline std::uint64_t block_mask64(const std::uint8_t* twin,
 
 const char* diff_kernel_name() { return OMSP_DIFF_KERNEL_NAME; }
 
-void create_diff_into(const std::uint8_t* twin, const std::uint8_t* current,
-                      DiffBytes& out, std::size_t page_size) {
+DiffBytes create_diff(const std::uint8_t* twin, const std::uint8_t* current,
+                      std::size_t page_size) {
   OMSP_CHECK(page_size % sizeof(std::uint64_t) == 0);
   OMSP_CHECK(page_size <= 65536);
   std::uint8_t* const buf = diff_scratch(page_size);
@@ -189,14 +168,7 @@ void create_diff_into(const std::uint8_t* twin, const std::uint8_t* current,
   for (; base < page_size; base += 8)
     em.feed(base, word_mask(twin + base, current + base), 8);
   em.close_at(page_size);
-  out.assign(buf, em.out);
-}
-
-DiffBytes create_diff(const std::uint8_t* twin, const std::uint8_t* current,
-                      std::size_t page_size) {
-  DiffBytes out;
-  create_diff_into(twin, current, out, page_size);
-  return out;
+  return DiffBytes(buf, em.out);
 }
 
 DiffBytes create_diff_scalar(const std::uint8_t* twin,
@@ -209,7 +181,7 @@ DiffBytes create_diff_scalar(const std::uint8_t* twin,
 
   // The original TreadMarks-style encoder: compare a machine word at a time,
   // refine changed words to exact byte runs. Kept as the reference
-  // implementation the vector kernels are proved against; it shares their
+  // implementation the compare kernels are proved against; it shares their
   // scratch buffer and copy-out, so the two differ only in the compare.
   const std::size_t words = page_size / sizeof(std::uint64_t);
   std::uint64_t tw, cw;
@@ -240,23 +212,6 @@ DiffBytes create_diff_scalar(const std::uint8_t* twin,
 
 namespace {
 
-// Fixed-width 32/64-byte copies. GCC lowers memcpy(·, ·, 64) to eight
-// 16-byte xmm moves even under -mavx2; the explicit ymm intrinsics halve
-// that. Plain memcpy otherwise — both forms are byte-identical copies.
-inline void copy32(std::uint8_t* dst, const std::uint8_t* src) {
-#if defined(__AVX2__)
-  _mm256_storeu_si256(reinterpret_cast<__m256i*>(dst),
-                      _mm256_loadu_si256(reinterpret_cast<const __m256i*>(src)));
-#else
-  std::memcpy(dst, src, 32);
-#endif
-}
-
-inline void copy64(std::uint8_t* dst, const std::uint8_t* src) {
-  copy32(dst, src);
-  copy32(dst + 32, src + 32);
-}
-
 // memcpy for one run. Most runs are short (a few words of one cache line),
 // where libc memcpy's size dispatch dominates; copy those with overlapping
 // fixed-width moves instead. Every store stays inside [dst, dst+n) — the
@@ -266,8 +221,8 @@ inline void copy_run(std::uint8_t* dst, const std::uint8_t* src,
                      std::size_t n) {
   if (n > 64) { // first test, not last: keeps the big-run path hot
     if (n <= 128) { // two overlapping 64-byte moves beat a libc call
-      copy64(dst, src);
-      copy64(dst + n - 64, src + n - 64);
+      std::memcpy(dst, src, 64);
+      std::memcpy(dst + n - 64, src + n - 64, 64);
       return;
     }
     std::memcpy(dst, src, n);
@@ -275,8 +230,8 @@ inline void copy_run(std::uint8_t* dst, const std::uint8_t* src,
   }
   if (n >= 16) {
     if (n > 32) {
-      copy32(dst, src);
-      copy32(dst + n - 32, src + n - 32);
+      std::memcpy(dst, src, 32);
+      std::memcpy(dst + n - 32, src + n - 32, 32);
       return;
     }
     std::memcpy(dst, src, 16);
@@ -326,17 +281,6 @@ std::size_t diff_run_count(std::span<const std::uint8_t> diff,
   for_each_run(diff, page_size,
                [&runs](std::size_t, const std::uint8_t*, std::size_t) { ++runs; });
   return runs;
-}
-
-DiffStats diff_stats(std::span<const std::uint8_t> diff,
-                     std::size_t page_size) {
-  DiffStats s;
-  for_each_run(diff, page_size,
-               [&s](std::size_t, const std::uint8_t*, std::size_t length) {
-                 s.patch_bytes += length;
-                 ++s.runs;
-               });
-  return s;
 }
 
 } // namespace omsp::tmk

@@ -11,11 +11,11 @@
 // A run is a MAXIMAL stretch of strictly differing bytes — any equal byte
 // terminates it — so the encoding is canonical: every correct encoder
 // produces byte-identical output for the same (twin, current) pair. That is
-// the contract that lets create_diff() be vectorized: the wide kernels
-// (AVX2/SSE2, selected at build time, with a portable 64-bit-word fallback)
-// compute a per-byte "differs" mask 64 bytes at a time and feed it to one
-// shared mask->run emitter, and the property tests assert the output equals
-// create_diff_scalar()'s byte for byte.
+// the contract that lets create_diff() be vectorized: its compare kernel
+// (AVX2 when the build host runs it, otherwise a portable 64-bit-word
+// kernel) computes a per-byte "differs" mask 64 bytes at a time and feeds it
+// to one shared mask->run emitter, and the property tests assert the output
+// equals create_diff_scalar()'s byte for byte.
 #pragma once
 
 #include <cstddef>
@@ -46,8 +46,8 @@ struct RunHeader {
 // Walk every run of a diff, validating as it goes: each header must be
 // complete, each run's payload must be inside the diff buffer, and each run
 // must land entirely inside [0, page_size). All of apply_diff(),
-// diff_patch_bytes(), diff_run_count() and diff_stats() are this one loop —
-// malformed input dies on the same OMSP_CHECKs everywhere.
+// diff_patch_bytes() and diff_run_count() are this one loop — malformed
+// input dies on the same OMSP_CHECKs everywhere.
 // fn(offset, payload, length) is called once per run.
 template <typename Fn>
 inline void for_each_run(std::span<const std::uint8_t> diff,
@@ -71,16 +71,11 @@ inline void for_each_run(std::span<const std::uint8_t> diff,
 }
 
 // Encode the difference (twin -> current) of one page. Returns an empty
-// vector when nothing changed. Uses the widest compare kernel the build
-// enabled (see diff_kernel_name()).
+// vector when nothing changed. Uses the compare kernel the build selected
+// (see diff_kernel_name()); the runs are encoded into a per-thread scratch
+// buffer and copied out at their exact size.
 DiffBytes create_diff(const std::uint8_t* twin, const std::uint8_t* current,
                       std::size_t page_size = kPageSize);
-
-// Same, writing into `out` (replacing its contents). The runs are encoded
-// into a per-thread scratch buffer and copied out at their exact size, so
-// `out` reallocates only when its capacity is smaller than the diff.
-void create_diff_into(const std::uint8_t* twin, const std::uint8_t* current,
-                      DiffBytes& out, std::size_t page_size = kPageSize);
 
 // The original word-at-a-time scalar encoder, kept as the executable
 // reference: property tests assert the SIMD kernel's output is
@@ -90,7 +85,7 @@ DiffBytes create_diff_scalar(const std::uint8_t* twin,
                              const std::uint8_t* current,
                              std::size_t page_size = kPageSize);
 
-// Which compare kernel create_diff() was compiled with: "avx2", "sse2" or
+// Which compare kernel create_diff() was compiled with: "avx2" or
 // "portable64".
 const char* diff_kernel_name();
 
@@ -108,14 +103,5 @@ std::size_t diff_patch_bytes(std::span<const std::uint8_t> diff,
 // Number of runs in a diff.
 std::size_t diff_run_count(std::span<const std::uint8_t> diff,
                            std::size_t page_size = kPageSize);
-
-// Both of the above in one walk (the barrier flush wants both counters and
-// should not pay two passes).
-struct DiffStats {
-  std::size_t patch_bytes = 0;
-  std::size_t runs = 0;
-};
-DiffStats diff_stats(std::span<const std::uint8_t> diff,
-                     std::size_t page_size = kPageSize);
 
 } // namespace omsp::tmk

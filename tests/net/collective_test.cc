@@ -225,7 +225,9 @@ TEST(CollSchedule, NodeMembersDeepFatTree) {
   const std::vector<std::uint32_t> expect_level = {0, 1, 2, 1, 3, 1, 2, 1};
   for (std::uint32_t m = 0; m < 8; ++m) {
     EXPECT_EQ(s.parent(m), expect_parent[m]) << "member " << m;
-    if (m > 0) EXPECT_EQ(s.level(m), expect_level[m]) << "member " << m;
+    if (m > 0) {
+      EXPECT_EQ(s.level(m), expect_level[m]) << "member " << m;
+    }
   }
 }
 
