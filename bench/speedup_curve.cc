@@ -162,9 +162,11 @@ int run_scale(const BenchArgs& args) {
       sim::Topology::flat_switch(64, 2),  sim::Topology::fat_tree(2, 8, 2),
       sim::Topology::flat_switch(256, 2), sim::Topology::fat_tree(2, 16, 2),
   };
-  // SDSM thread mode: one context per node. 256 contexts would mean 256
-  // full DSM address spaces in one host process, so the DSM curve stops at
-  // 64 nodes; MPI covers the full sweep.
+  // SDSM thread mode: one context per node. Each context keeps pending and
+  // applied notice marks per allocated page per peer, so that state grows as
+  // pages x contexts^2: about 0.5 GB for the 256-node grid, in one host
+  // process with 512 worker threads. The DSM curve stops at 64 nodes; MPI
+  // covers the full sweep.
   const sim::Topology dsm_topos[] = {
       sim::Topology::flat_switch(16, 2),
       sim::Topology::flat_switch(64, 2),

@@ -1,5 +1,5 @@
-// Dynamic bitset used for page-level dirty/valid tracking. Sized at heap
-// creation; the fault-path operations (test/set/reset) are branch-free word
+// Dynamic bitset used for page-level dirty tracking. Grows with the page
+// table; the fault-path operations (test/set/reset) are branch-free word
 // ops. Not thread-safe by itself — callers hold the relevant page or context
 // lock.
 #pragma once
@@ -20,6 +20,13 @@ public:
   void resize(std::size_t bits) {
     bits_ = bits;
     words_.assign((bits + 63) / 64, 0);
+  }
+
+  // Extend to `bits`, keeping every bit already set; the new bits are clear.
+  void grow(std::size_t bits) {
+    OMSP_DCHECK(bits >= bits_);
+    bits_ = bits;
+    words_.resize((bits + 63) / 64, 0);
   }
 
   std::size_t size() const { return bits_; }

@@ -43,11 +43,9 @@ struct Config {
   std::size_t heap_bytes = 16u << 20; // shared heap size (rounded to pages)
   sim::CostModel cost = sim::CostModel::sp2_default();
 
-  // Ablation knobs. Defaults follow the paper: the thread version has the
-  // alias ("second") mapping and the per-page fault mutex; the original
-  // version has neither.
+  // Ablation knob. The default follows the paper: the thread version has
+  // the alias ("second") mapping, the original does not.
   std::optional<bool> alias_mapping; // default: mode == kThread
-  std::optional<bool> per_page_fault_lock; // default: mode == kThread
 
   // When false, diffs are created eagerly at interval close instead of on
   // first request (TreadMarks is lazy; this knob exists for the ablation
@@ -108,9 +106,6 @@ struct Config {
 
   bool use_alias_mapping() const {
     return alias_mapping.value_or(mode == Mode::kThread);
-  }
-  bool use_per_page_fault_lock() const {
-    return per_page_fault_lock.value_or(mode == Mode::kThread);
   }
 
   // One DSM context per node (thread mode) or per processor (process mode).

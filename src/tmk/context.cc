@@ -68,9 +68,9 @@ void chaos_point(unsigned p) {
   }
 }
 
-// Longest run of pages apply_records invalidates at once under per-page
-// locks: the run holds all its page locks, and ThreadSanitizer tracks at most
-// 64 mutexes held by one thread.
+// Longest run of pages apply_records invalidates at once: the run holds all
+// its page locks, and ThreadSanitizer tracks at most 64 mutexes held by one
+// thread.
 constexpr std::size_t kMaxLockedRun = 32;
 
 } // namespace
@@ -81,20 +81,12 @@ DsmContext::DsmContext(ContextId id, const Config& config, net::Router& router)
     : config_(config), id_(id), chaos_permille_(chaos_permille()),
       router_(router), stats_(&router.stats(id)),
       heap_(config.heap_bytes, config.use_alias_mapping(), id, stats_,
-            &config.cost),
-      per_page_locks_(config.use_per_page_fault_lock()) {
+            &config.cost) {
   nc_ = config.num_contexts();
-  const std::size_t npages = heap_.pages();
-  if (per_page_locks_) page_mutexes_ = std::make_unique<std::mutex[]>(npages);
-  pages_.resize(npages);
-  dirty_.resize(npages);
   vt_ = VectorTime(nc_);
   sync_vt_ = VectorTime(nc_);
   table_.resize(nc_);
   table_base_.assign(nc_, 0);
-  last_listed_.assign(npages, 0);
-  pending_.assign(npages * nc_, 0);
-  applied_.assign(npages * nc_, 0);
   router_.bind_handler(id, this);
   FaultRegistry::add_region(heap_.app_base(), heap_.bytes(), this);
   // Force the one-time trap-overhead calibration NOW, in normal context: it
@@ -106,6 +98,20 @@ DsmContext::DsmContext(ContextId id, const Config& config, net::Router& router)
 }
 
 DsmContext::~DsmContext() { FaultRegistry::remove_region(heap_.app_base()); }
+
+void DsmContext::grow_page_table(std::size_t npages) {
+  OMSP_CHECK(pages_.size() <= npages && npages <= heap_.pages());
+  while (page_mutexes_.size() < npages) page_mutexes_.emplace_back();
+  pages_.resize(npages);
+  dirty_.grow(npages);
+  last_listed_.resize(npages, 0);
+  pending_.resize(npages * nc_, 0);
+  applied_.resize(npages * nc_, 0);
+}
+
+void DsmContext::check_allocated(PageId p) const {
+  OMSP_CHECK_MSG(p < pages_.size(), "access to unallocated shared heap");
+}
 
 void DsmContext::on_fault(void* addr, bool is_write) {
   OMSP_CHECK_MSG(heap_.contains(addr), "fault outside this context's heap");
@@ -122,6 +128,7 @@ void DsmContext::on_fault(void* addr, bool is_write) {
       rs.clock() != nullptr ? rs.clock()->now_us() : 0;
 
   const PageId p = heap_.page_of(addr);
+  check_allocated(p);
   OMSP_PTRACE(p, "fault is_write=%d", is_write ? 1 : 0);
   if (race_ != nullptr) race_->record_access(id_, p, is_write);
   std::unique_lock<std::mutex> lock(page_lock(p));
@@ -529,7 +536,7 @@ void DsmContext::handle(ContextId src, net::MsgType type, ByteReader& request,
     // diffs into a side buffer.
     ByteWriter body;
     for (const auto& [p, have] : wants) {
-      OMSP_CHECK(p < pages_.size());
+      check_allocated(p);
       std::unique_lock<std::mutex> lock(page_lock(p));
       PageMeta& meta = pages_[p];
       if (meta.twin != nullptr) flush_page_diff_locked(p);
@@ -559,7 +566,7 @@ void DsmContext::handle(ContextId src, net::MsgType type, ByteReader& request,
   const auto have = request.get<IntervalSeq>();
   (void)request.get<IntervalSeq>(); // want — informational
   const VectorTime req_vt = VectorTime::deserialize(request);
-  OMSP_CHECK(p < pages_.size());
+  check_allocated(p);
 
   std::unique_lock<std::mutex> lock(page_lock(p));
   PageMeta& meta = pages_[p];
@@ -1068,12 +1075,9 @@ void DsmContext::apply_records(const std::vector<IntervalRecord>& records,
   std::sort(to_invalidate.begin(), to_invalidate.end());
   to_invalidate.erase(std::unique(to_invalidate.begin(), to_invalidate.end()),
                       to_invalidate.end());
-  // Per-page locks cap a run; the coarse lock is one mutex however long it is.
-  const std::size_t max_run =
-      per_page_locks_ ? kMaxLockedRun : to_invalidate.size();
   for (std::size_t i = 0; i < to_invalidate.size();) {
     std::size_t n = 1;
-    while (i + n < to_invalidate.size() && n < max_run &&
+    while (i + n < to_invalidate.size() && n < kMaxLockedRun &&
            to_invalidate[i + n] == to_invalidate[i] + n)
       ++n;
     invalidate_run(to_invalidate[i], n);
@@ -1085,14 +1089,10 @@ void DsmContext::invalidate_run(PageId first, std::size_t n) {
   // Hold every page lock of the run (ascending; no other path holds two page
   // locks, so the order cannot deadlock) across the state changes and the
   // one host mprotect, so no fault sees an invalid page the host still maps.
+  OMSP_DCHECK(n <= kMaxLockedRun);
   std::array<std::unique_lock<std::mutex>, kMaxLockedRun> held;
-  if (per_page_locks_) {
-    OMSP_DCHECK(n <= kMaxLockedRun);
-    for (std::size_t k = 0; k < n; ++k)
-      held[k] = std::unique_lock<std::mutex>(page_mutexes_[first + k]);
-  } else {
-    held[0] = std::unique_lock<std::mutex>(coarse_page_mutex_);
-  }
+  for (std::size_t k = 0; k < n; ++k)
+    held[k] = std::unique_lock<std::mutex>(page_lock(first + k));
   bool changed = false;
   for (std::size_t k = 0; k < n; ++k) {
     const PageId p = first + static_cast<PageId>(k);
@@ -1157,21 +1157,25 @@ std::uint64_t DsmContext::vt_sum_of_own(IntervalSeq seq) {
 }
 
 PageState DsmContext::page_state(PageId p) {
+  check_allocated(p);
   std::lock_guard<std::mutex> pl(page_lock(p));
   return pages_[p].state;
 }
 
 bool DsmContext::page_dirty(PageId p) {
+  check_allocated(p);
   std::lock_guard<std::mutex> dl(dirty_mutex_);
   return dirty_.test(p);
 }
 
 std::size_t DsmContext::stored_diff_count(PageId p) {
+  check_allocated(p);
   std::lock_guard<std::mutex> pl(page_lock(p));
   return pages_[p].stored_diffs.size();
 }
 
 IntervalSeq DsmContext::applied_seq(PageId p, ContextId creator) {
+  check_allocated(p);
   std::lock_guard<std::mutex> tl(table_mutex_);
   return applied_[std::size_t{p} * nc_ + creator];
 }

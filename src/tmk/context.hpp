@@ -33,12 +33,21 @@
 //     protocol change that forgets either half of the pair fails the trace
 //     integration tests rather than silently skewing Tables 2-3.
 //
+// Page table: pages_, the page locks, dirty_, last_listed_, pending_ and
+// applied_ cover the prefix of the shared heap the allocator has handed out,
+// not the whole reservation. They grow only in DsmSystem::shared_malloc —
+// master-only, outside parallel regions, after transport quiesce() — and
+// every context grows together, since a write notice can reach any of them.
+// A fault past the prefix (a store no allocation covers) aborts.
+//
 // Locking discipline (deadlock-free by construction):
-//   page_lock(p)  — guards one page's state/twin/diffs. Taken by the fault
-//                   path, invalidation, and the remote diff-request handler
-//                   (each only for its own context's pages). NEVER held
-//                   across a remote call: the fault path marks the page
-//                   "fetch in progress", unlocks, fetches, re-locks.
+//   page_lock(p)  — one mutex per page, in both modes; guards that page's
+//                   state/twin/diffs. Taken by the fault path, invalidation,
+//                   and the remote diff-request handler (each only for its
+//                   own context's pages). NEVER held across a remote call:
+//                   the fault path marks the page "fetch in progress",
+//                   unlocks, fetches, re-locks. Only invalidation holds
+//                   several: a run of at most kMaxLockedRun, ascending.
 //   table_mutex_  — guards vt/interval table/pending/applied/last_listed.
 //                   May be taken while holding a page lock, never the other
 //                   way round.
@@ -54,6 +63,7 @@
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
+#include <deque>
 #include <functional>
 #include <memory>
 #include <map>
@@ -98,7 +108,11 @@ public:
   ContextId id() const { return id_; }
   HeapMapping& heap() { return heap_; }
   StatsBoard& stats() { return *stats_; }
-  std::size_t num_pages() const { return heap_.pages(); }
+  // Pages the table covers: the allocated prefix of the heap.
+  std::size_t num_pages() const { return pages_.size(); }
+  // Extend the table to `npages`, at least its current size. Only at a
+  // quiescent point: no fault, handler or prefetch of this context may run.
+  void grow_page_table(std::size_t npages);
 
   // --- access-miss handling (FaultTarget) ----------------------------------
   void on_fault(void* addr, bool is_write) override;
@@ -270,9 +284,9 @@ private:
     std::vector<PageId> pages;
   };
 
-  std::mutex& page_lock(PageId p) {
-    return per_page_locks_ ? page_mutexes_[p] : coarse_page_mutex_;
-  }
+  std::mutex& page_lock(PageId p) { return page_mutexes_[p]; }
+  // Aborts unless the table covers p: no allocation reaches past it.
+  void check_allocated(PageId p) const;
 
   // Fault path helpers. All called with page_lock(p) held unless noted.
   void fetch_and_apply(PageId p, std::unique_lock<std::mutex>& lock);
@@ -291,8 +305,8 @@ private:
   // nothing, when none is owed: with the alias, or if already writable.
   bool charge_write_enable(PageId p);
   // Invalidate the pages of [first, first + n) that are still valid, under
-  // all of the run's page locks, with one host mprotect (apply_records). With
-  // per-page locks, n is at most kMaxLockedRun (context.cc).
+  // all of the run's page locks, with one host mprotect (apply_records). n is
+  // at most kMaxLockedRun (context.cc).
   void invalidate_run(PageId first, std::size_t n);
   // Home-based protocol helpers.
   ContextId home_of(PageId p) const { return p % nc_; }
@@ -367,9 +381,8 @@ private:
   race::Detector* race_ = nullptr;
   HeapMapping heap_;
 
-  bool per_page_locks_;
-  std::unique_ptr<std::mutex[]> page_mutexes_;
-  std::mutex coarse_page_mutex_;
+  // A deque grows without moving its elements, and a mutex cannot move.
+  std::deque<std::mutex> page_mutexes_;
   std::condition_variable_any fetch_cv_;
 
   std::vector<PageMeta> pages_;

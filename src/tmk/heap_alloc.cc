@@ -1,5 +1,7 @@
 #include "tmk/heap_alloc.hpp"
 
+#include <algorithm>
+
 #include "common/check.hpp"
 #include "common/mathutil.hpp"
 
@@ -17,7 +19,7 @@ GlobalAddr HeapAllocator::allocate(std::size_t bytes, std::size_t align) {
     const std::size_t len = it->second;
     const GlobalAddr user = round_up(block, align);
     const std::size_t pad = static_cast<std::size_t>(user - block);
-    if (pad + bytes > len) continue;
+    if (bytes > len || pad > len - bytes) continue; // no wrap for huge sizes
 
     free_blocks_.erase(it);
     if (pad > 0) free_blocks_.emplace(block, pad);
@@ -26,6 +28,7 @@ GlobalAddr HeapAllocator::allocate(std::size_t bytes, std::size_t align) {
 
     live_.emplace(user, Live{user, bytes});
     in_use_ += bytes;
+    high_water_ = std::max(high_water_, user + bytes);
     return user;
   }
   return kNullGlobalAddr;

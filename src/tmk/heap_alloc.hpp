@@ -31,6 +31,9 @@ public:
   std::size_t bytes_in_use() const { return in_use_; }
   std::size_t bytes_total() const { return total_; }
   std::size_t allocation_count() const { return live_.size(); }
+  // End of the highest block ever handed out. Never decreases: every live
+  // or freed allocation lies below it.
+  std::size_t high_water() const { return high_water_; }
 
   // Size recorded for a live allocation (0 if unknown).
   std::size_t allocation_size(GlobalAddr addr) const;
@@ -38,6 +41,7 @@ public:
 private:
   std::size_t total_;
   std::size_t in_use_ = 0;
+  std::size_t high_water_ = 0;
   // Free blocks by offset -> length. Adjacent blocks are always coalesced.
   std::map<GlobalAddr, std::size_t> free_blocks_;
   // Live allocations: user offset -> (block offset, block length).

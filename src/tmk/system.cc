@@ -4,6 +4,7 @@
 #include <limits>
 
 #include "common/check.hpp"
+#include "common/mathutil.hpp"
 
 namespace omsp::tmk {
 
@@ -704,6 +705,14 @@ GlobalAddr DsmSystem::shared_malloc(std::size_t bytes, std::size_t align) {
                  "shared_malloc is master-only");
   const GlobalAddr addr = allocator_.allocate(bytes, align);
   OMSP_CHECK_MSG(addr != kNullGlobalAddr, "shared heap exhausted");
+  // Pages come into use only here, so this is where the page tables grow:
+  // every context's together (a write notice can reach any of them), once a
+  // perturbing transport's late duplicates have finished their handlers.
+  const std::size_t npages = ceil_div(allocator_.high_water(), kPageSize);
+  if (npages > contexts_[0]->num_pages()) {
+    router_->transport().quiesce();
+    for (auto& c : contexts_) c->grow_page_table(npages);
+  }
   return addr;
 }
 

@@ -59,6 +59,23 @@ TEST(Bitset, ResizeResets) {
   EXPECT_FALSE(b.any());
 }
 
+TEST(Bitset, GrowKeepsBits) {
+  DynamicBitset b(70);
+  b.set(3);
+  b.set(69);
+  b.grow(70); // same size: nothing changes
+  b.grow(200);
+  EXPECT_EQ(b.size(), 200u);
+  EXPECT_EQ(b.count(), 2u);
+  EXPECT_TRUE(b.test(3));
+  EXPECT_TRUE(b.test(69));
+  for (std::size_t i = 70; i < 200; ++i) ASSERT_FALSE(b.test(i)) << i;
+  b.set(199);
+  std::vector<std::size_t> visited;
+  b.for_each_set([&](std::size_t i) { visited.push_back(i); });
+  EXPECT_EQ(visited, (std::vector<std::size_t>{3, 69, 199}));
+}
+
 TEST(Bitset, RandomizedAgainstReference) {
   DynamicBitset b(317);
   std::set<std::size_t> ref;

@@ -165,7 +165,6 @@ TEST(Config, ThreadModeContextLayout) {
   EXPECT_EQ(cfg.slot_of_rank(5), 1u);
   EXPECT_EQ(cfg.node_of_context(3), 3u);
   EXPECT_TRUE(cfg.use_alias_mapping());
-  EXPECT_TRUE(cfg.use_per_page_fault_lock());
 }
 
 TEST(Config, ProcessModeContextLayout) {
@@ -177,16 +176,13 @@ TEST(Config, ProcessModeContextLayout) {
   EXPECT_EQ(cfg.context_of_rank(5), 5u);
   EXPECT_EQ(cfg.node_of_context(5), 1u); // context 5 = rank 5 lives on node 1
   EXPECT_FALSE(cfg.use_alias_mapping());
-  EXPECT_FALSE(cfg.use_per_page_fault_lock());
 }
 
 TEST(Config, AblationOverridesStick) {
   Config cfg;
   cfg.mode = Mode::kProcess;
   cfg.alias_mapping = true;
-  cfg.per_page_fault_lock = true;
   EXPECT_TRUE(cfg.use_alias_mapping());
-  EXPECT_TRUE(cfg.use_per_page_fault_lock());
 }
 
 TEST(GlobalPtr, NullAndArithmetic) {

@@ -263,12 +263,64 @@ TEST(DiffRelease, LateConsumerHoldsUntilApplied) {
   EXPECT_EQ(master.held_diff_bytes(), 0u);
 }
 
-INSTANTIATE_TEST_SUITE_P(Modes, DsmSystemTest,
-                         ::testing::Values(Mode::kThread, Mode::kProcess),
-                         [](const auto& info) {
-                           return info.param == Mode::kThread ? "Thread"
-                                                              : "Process";
-                         });
+class PageTable : public ::testing::TestWithParam<Mode> {};
+
+const auto kModes = ::testing::Values(Mode::kThread, Mode::kProcess);
+std::string mode_name(const ::testing::TestParamInfo<Mode>& info) {
+  return info.param == Mode::kThread ? "Thread" : "Process";
+}
+
+// Each context's page table covers the pages the allocator has handed out,
+// not the heap's reservation, and every context grows at a later allocation.
+TEST_P(PageTable, CoversAllocatedPagesOnly) {
+  Config cfg = small_config(GetParam());
+  cfg.heap_bytes = std::size_t{256} << 20; // 65,536 pages reserved
+  DsmSystem dsm(cfg);
+  const std::uint32_t np = dsm.nprocs();
+  const std::size_t kInts = kPageSize / sizeof(int);
+  const std::size_t na = 10 * kInts, nb = 6 * kInts;
+  auto a = dsm.alloc_page_aligned<int>(na);
+  ASSERT_EQ(a.addr(), 0u);
+  for (ContextId c = 0; c < dsm.num_contexts(); ++c)
+    EXPECT_EQ(dsm.context(c).num_pages(), 10u) << c;
+
+  dsm.parallel([&](Rank r) {
+    for (std::size_t i = r; i < na; i += np) a[i] = static_cast<int>(i);
+  });
+  auto b = dsm.alloc_page_aligned<int>(nb);
+  ASSERT_EQ(b.addr(), 10 * kPageSize);
+  for (ContextId c = 0; c < dsm.num_contexts(); ++c)
+    EXPECT_EQ(dsm.context(c).num_pages(), 16u) << c;
+
+  // Interleaved ownership: every page of both arrays has writers in every
+  // context, and each phase reads what other contexts wrote.
+  dsm.parallel([&](Rank r) {
+    for (std::size_t i = r; i < nb; i += np) b[i] = a[na - 1 - i] + 1;
+    dsm.barrier();
+    for (std::size_t i = r; i < na; i += np) a[i] = 2 * b[i % nb] - a[i];
+  });
+  std::vector<int> ea(na), eb(nb);
+  for (std::size_t i = 0; i < na; ++i) ea[i] = static_cast<int>(i);
+  for (std::size_t i = 0; i < nb; ++i) eb[i] = ea[na - 1 - i] + 1;
+  for (std::size_t i = 0; i < na; ++i) ea[i] = 2 * eb[i % nb] - ea[i];
+  for (std::size_t i = 0; i < na; ++i) ASSERT_EQ(a[i], ea[i]) << i;
+  for (std::size_t i = 0; i < nb; ++i) ASSERT_EQ(b[i], eb[i]) << i;
+}
+
+// A store to memory no allocation covers lies past every page table.
+TEST_P(PageTable, StorePastAllocatedPrefixAborts) {
+  EXPECT_DEATH(
+      {
+        DsmSystem dsm(small_config(GetParam()));
+        auto a = dsm.alloc_page_aligned<int>(kPageSize / sizeof(int));
+        a[kPageSize / sizeof(int)] = 1; // first int of the next page
+      },
+      "access to unallocated shared heap");
+}
+
+INSTANTIATE_TEST_SUITE_P(Modes, PageTable, kModes, mode_name);
+
+INSTANTIATE_TEST_SUITE_P(Modes, DsmSystemTest, kModes, mode_name);
 
 } // namespace
 } // namespace omsp::tmk

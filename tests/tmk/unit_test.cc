@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <limits>
 #include <sys/mman.h>
 
 #include "sim/virtual_clock.hpp"
@@ -188,6 +189,18 @@ TEST(HeapAlloc, ExhaustionReturnsNull) {
   HeapAllocator alloc(4096);
   EXPECT_NE(alloc.allocate(4096, 1), kNullGlobalAddr);
   EXPECT_EQ(alloc.allocate(1, 1), kNullGlobalAddr);
+}
+
+// A request near SIZE_MAX must not wrap the fit test around: it would hand
+// out a block that a later allocation overlaps.
+TEST(HeapAlloc, OversizedRequestReturnsNull) {
+  HeapAllocator alloc(1 << 20);
+  EXPECT_EQ(alloc.allocate(100), 0u);
+  EXPECT_EQ(alloc.allocate(std::numeric_limits<std::size_t>::max() - 8, 64),
+            kNullGlobalAddr);
+  EXPECT_EQ(alloc.allocate(4096), 112u);
+  EXPECT_EQ(alloc.bytes_in_use(), 4196u);
+  EXPECT_EQ(alloc.high_water(), 112u + 4096u);
 }
 
 TEST(HeapAlloc, CoalescingAllowsReuse) {
