@@ -119,6 +119,22 @@ std::atomic<std::int64_t>& Team::loop_counter(std::uint64_t instance,
   return *it->second;
 }
 
+void Team::grab_chunk(ContextId cid) {
+  // A chunk grab is a round trip to the loop's shared counter, which lives
+  // with the team master (TreadMarks implements this with a lock plus a
+  // shared index). Charge and count it honestly.
+  if (cid == 0) return;
+  auto* clock = sim::VirtualClock::current();
+  if (clock == nullptr) return;
+  auto& transport = rt_.dsm_.router().transport();
+  const std::size_t bytes = net::msg_fixed_bytes(net::MsgType::kLoopChunk);
+  clock->charge(transport.notify(
+      net::Envelope::notice(cid, 0, net::MsgType::kLoopChunk, bytes)));
+  clock->charge(transport.notify(
+      net::Envelope::notice(0, cid, net::MsgType::kLoopChunk, bytes)));
+  clock->charge(rt_.dsm_.config().cost.lock_service_us);
+}
+
 void Team::for_loop_nowait(std::int64_t lo, std::int64_t hi, Schedule sched,
                            const std::function<void(std::int64_t)>& body) {
   for_chunks(
@@ -145,22 +161,7 @@ void Team::for_chunks(std::int64_t lo, std::int64_t hi, Schedule sched,
     for (;;) {
       const std::int64_t b = next.fetch_add(chunk);
       if (b >= hi) break;
-      // A chunk grab is a round trip to the loop's shared counter, which
-      // lives with the team master (TreadMarks implements this with a lock
-      // plus a shared index). Charge and count it honestly.
-      if (cid != 0) {
-        auto* clock = sim::VirtualClock::current();
-        if (clock != nullptr) {
-          auto& transport = rt_.dsm_.router().transport();
-          const std::size_t bytes =
-              net::msg_fixed_bytes(net::MsgType::kLoopChunk);
-          clock->charge(transport.notify(
-              net::Envelope::notice(cid, 0, net::MsgType::kLoopChunk, bytes)));
-          clock->charge(transport.notify(
-              net::Envelope::notice(0, cid, net::MsgType::kLoopChunk, bytes)));
-          clock->charge(rt_.dsm_.config().cost.lock_service_us);
-        }
-      }
+      grab_chunk(cid);
       body(b, b + chunk < hi ? b + chunk : hi);
     }
     break;
@@ -177,19 +178,7 @@ void Team::for_chunks(std::int64_t lo, std::int64_t hi, Schedule sched,
         c = guided_next_chunk(hi - b, size_, min_chunk);
       } while (!next.compare_exchange_weak(b, b + c));
       if (b >= hi) break;
-      if (cid != 0) {
-        auto* clock = sim::VirtualClock::current();
-        if (clock != nullptr) {
-          auto& transport = rt_.dsm_.router().transport();
-          const std::size_t bytes =
-              net::msg_fixed_bytes(net::MsgType::kLoopChunk);
-          clock->charge(transport.notify(
-              net::Envelope::notice(cid, 0, net::MsgType::kLoopChunk, bytes)));
-          clock->charge(transport.notify(
-              net::Envelope::notice(0, cid, net::MsgType::kLoopChunk, bytes)));
-          clock->charge(rt_.dsm_.config().cost.lock_service_us);
-        }
-      }
+      grab_chunk(cid);
       body(b, b + c < hi ? b + c : hi);
     }
     break;

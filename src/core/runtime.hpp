@@ -211,6 +211,9 @@ private:
   friend class OmpRuntime;
   std::atomic<std::int64_t>& loop_counter(std::uint64_t instance,
                                           std::int64_t init);
+  // Charge and count one dynamic/guided chunk grab by a thread of context
+  // `cid`: a round trip to the loop's shared counter at the team master.
+  void grab_chunk(ContextId cid);
 
   OmpRuntime& rt_;
   Rank rank_;

@@ -180,6 +180,18 @@ public:
                      0.0);
   }
 
+  // One edge of a hierarchical collective schedule (coll::Schedule) carried
+  // `wire_bytes` from `sender` at tree `level` toward `leader`. The edge's
+  // message itself is accounted via account().
+  void account_coll_stage(ContextId sender, std::uint32_t level,
+                          ContextId leader, std::size_t wire_bytes) {
+    auto& board = *stats_[sender];
+    board.add(Counter::kCollStages);
+    board.add(Counter::kCollBytes, wire_bytes);
+    OMSP_TRACE_EVENT(kCollStage, sender, wire_bytes,
+                     (static_cast<std::uint64_t>(level) << 32) | leader);
+  }
+
 private:
   void init() {
     handlers_.resize(context_node_.size(), nullptr);

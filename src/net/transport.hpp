@@ -498,10 +498,18 @@ private:
   // 0-based copy index within the exchange (drop_first drops copy 0).
   bool draw_loss(Channel& ch, std::uint32_t copy);
   // Pre-draw the loss schedule for a round-trip (request/reply) or a
-  // notice+ack exchange on src->dst; consumes the channel's stream and
-  // stamps *seq with the exchange's channel sequence number.
-  LossSchedule draw_roundtrip(ContextId src, ContextId dst,
-                              std::uint32_t* seq);
+  // notice+ack exchange on e.src->e.dst; consumes the channel's stream and
+  // stamps e with the exchange's channel sequence number and the
+  // kSeqAckBytes wire extension.
+  LossSchedule open_exchange(Envelope& e);
+  // Copy `attempt` (0-based) of `copy`'s exchange was lost: its RTO expires
+  // and the next copy goes out. Accounts the retransmission, tallies the
+  // loss and returns the RTO.
+  double retransmit(const Envelope& copy, std::uint32_t attempt);
+  // Copy `attempt` of e's exchange was dropped in flight: accounts its wire
+  // send and its loss, then retransmit(). Returns the RTO; the caller
+  // decides whose time absorbs it.
+  double lose_copy(const Envelope& e, std::uint32_t attempt);
 
   std::unique_ptr<Transport> inner_;
   Router& router_;
