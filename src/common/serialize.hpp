@@ -95,14 +95,17 @@ public:
   template <typename T>
     requires std::is_trivially_copyable_v<T>
   std::vector<T> get_span() {
-    auto count = get<std::uint32_t>();
+    const auto count = get<std::uint32_t>();
+    // Check the length field before allocating from it.
+    OMSP_CHECK_MSG(count <= remaining() / sizeof(T), "ByteReader underflow");
     std::vector<T> out(count);
     get_bytes(out.data(), count * sizeof(T));
     return out;
   }
 
   std::string get_string() {
-    auto count = get<std::uint32_t>();
+    const auto count = get<std::uint32_t>();
+    OMSP_CHECK_MSG(count <= remaining(), "ByteReader underflow");
     std::string out(count, '\0');
     get_bytes(out.data(), count);
     return out;
