@@ -351,14 +351,14 @@ void BM_Mprotect(benchmark::State& state) {
 BENCHMARK(BM_Mprotect)->Unit(benchmark::kNanosecond);
 
 // --- tracing overhead --------------------------------------------------------
-// The disabled macro must cost one relaxed load + predicted branch; the
-// enabled path one SPSC push. Compare against BM_FaultFetchRoundTrip to see
+// trace::note with no tracer must cost one relaxed load + predicted branch;
+// the enabled path one SPSC push. Compare against BM_FaultFetchRoundTrip to see
 // that protocol work dwarfs either (docs/OBSERVABILITY.md "Overhead").
 
 void BM_TraceEventDisabled(benchmark::State& state) {
-  // No tracer installed: the macro's fast path.
+  // No tracer installed: note()'s fast path.
   for (auto _ : state) {
-    OMSP_TRACE_EVENT(kPageFault, 0, 1, 0, trace::kFlagWrite);
+    trace::note(trace::EventKind::kPageFault, 0, 1, 0, trace::kFlagWrite);
   }
   state.SetItemsProcessed(state.iterations());
 }
@@ -373,7 +373,7 @@ void BM_TraceEventEnabled(benchmark::State& state) {
   trace::Tracer::bind_thread(0);
   std::size_t n = 0;
   for (auto _ : state) {
-    OMSP_TRACE_EVENT(kPageFault, 0, 1, 0, trace::kFlagWrite);
+    trace::note(trace::EventKind::kPageFault, 0, 1, 0, trace::kFlagWrite);
     if (++n == (1u << 15)) { // drain periodically, as barriers would
       state.PauseTiming();
       tracer.clear();

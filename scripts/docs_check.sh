@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# Docs <-> code sync check, run as the CI docs-check job. Four passes:
+# Docs <-> code sync check, run as the CI docs-check job. Five passes:
 #
 #  1. Markdown link check: every relative link target in docs/, README.md,
 #     EXPERIMENTS.md, DESIGN.md and ROADMAP.md must exist on disk.
@@ -12,6 +12,11 @@
 #  4. Config-key sync: every OMSP_CONFIG key the grammar accepts
 #     (kConfigKeys in src/common/env_config.hpp) has a row in README's key
 #     table, and every row names a key the grammar accepts.
+#  5. One counting path: no file under src/ other than src/trace/tracer.hpp
+#     (trace::record) calls a `.add(` or `->add(` member, so every counter
+#     moves through the kind->counter table, and the retired
+#     OMSP_TRACE_EVENT / OMSP_TRACE_COMPILED_OUT names appear nowhere under
+#     src/, tests/ or bench/.
 #
 # Pure stdlib python3; no dependencies beyond what the CI image carries.
 set -euo pipefail
@@ -100,6 +105,25 @@ for k in sorted(code_keys - doc_keys):
 for k in sorted(doc_keys - code_keys):
     failures.append(f"README.md: key table row '{k}' is not an OMSP_CONFIG key")
 print(f"config-key sync: {len(code_keys & doc_keys)} keys verified")
+
+# ---- 5. counters move only through trace::record ---------------------------
+add_re = re.compile(r"(?:\.|->)add\(")
+retired_re = re.compile(r"OMSP_TRACE_EVENT|OMSP_TRACE_COMPILED_OUT")
+scanned = 0
+for top in ("src", "tests", "bench"):
+    for dirpath, _, names in os.walk(top):
+        for name in sorted(names):
+            path = os.path.join(dirpath, name)
+            text = open(path, encoding="utf-8", errors="replace").read()
+            scanned += 1
+            for n, line in enumerate(text.splitlines(), 1):
+                if retired_re.search(line):
+                    failures.append(f"{path}:{n}: retired trace macro name")
+                if (top == "src" and path != "src/trace/tracer.hpp"
+                        and add_re.search(line)):
+                    failures.append(f"{path}:{n}: direct add() call; move "
+                                    "counters through trace::record")
+print(f"counting path: {scanned} files scanned")
 
 if failures:
     print("docs_check failures:", file=sys.stderr)

@@ -8,12 +8,11 @@
 // ordering is needed, only loss-free increments from concurrent threads of a
 // node.
 //
-// Cross-check invariant: every add() on a protocol path is paired with an
-// OMSP_TRACE_EVENT emission at the same site, so a lossless trace folds back
-// into an identical StatsSnapshot (trace::reconstruct_counters). Adding or
-// moving a counter increment without its event (or vice versa) breaks
-// `omsp-trace check` and the trace integration tests. DsmSystem::reset_stats
-// clears both layers together to keep their windows aligned.
+// Protocol code never calls add() directly: trace::record derives the
+// counts from the event through the one kind→counter table
+// (trace::count_event), so a lossless trace folds back into an identical
+// StatsSnapshot (trace::reconstruct_counters). DsmSystem::reset_stats clears
+// boards and trace together to keep their windows aligned.
 #pragma once
 
 #include <array>

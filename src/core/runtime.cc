@@ -86,7 +86,7 @@ void OmpRuntime::parallel(const std::function<void(Team&)>& fn,
   single_claimed_.store(0, std::memory_order_relaxed);
 
   const std::uint32_t team_size = num_threads;
-  OMSP_TRACE_EVENT(kRegionBegin, 0, region_epoch_, team_size);
+  trace::note(trace::EventKind::kRegionBegin, 0, region_epoch_, team_size);
   dsm_.parallel([&](Rank rank) {
     if (rank >= team_size) return; // not a team member this region
     Team team(*this, rank, team_size);
@@ -94,7 +94,7 @@ void OmpRuntime::parallel(const std::function<void(Team&)>& fn,
     fn(team);
     t_current_team = nullptr;
   });
-  OMSP_TRACE_EVENT(kRegionEnd, 0, region_epoch_, team_size);
+  trace::note(trace::EventKind::kRegionEnd, 0, region_epoch_, team_size);
 }
 
 void OmpRuntime::parallel_for(std::int64_t lo, std::int64_t hi, Schedule sched,

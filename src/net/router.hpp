@@ -15,10 +15,10 @@
 // place every (src, dst) pair on a path of stages (intra-node shared memory,
 // edge switch, spine, ...), the per-context StatsBoards, the handler table,
 // and the accounting rule (account()) every transport funnels deliveries
-// through so counters and trace events stay paired no matter how a message
-// reached its destination. A message's modeled cost is the sum of the stage
-// costs along its path (sim::Topology::message_us); traffic is "off-node"
-// whenever that path rises above stage 0.
+// through, so a message is counted once, as one `message` event, no matter
+// how it reached its destination. A message's modeled cost is the sum of the
+// stage costs along its path (sim::Topology::message_us); traffic is
+// "off-node" whenever that path rises above stage 0.
 #pragma once
 
 #include <algorithm>
@@ -117,67 +117,55 @@ public:
   }
 
   // The single accounting rule every transport funnels deliveries through:
-  // add kHeaderBytes framing, bump the sender's message/byte counters (plus
-  // the off-node pair when the link crosses a physical node), emit the paired
-  // `message` trace event, and return the modeled one-way cost in
+  // add kHeaderBytes framing, record the sender's `message` event (which
+  // counts the message and its bytes, plus the off-node pair when the link
+  // crosses a physical node), and return the modeled one-way cost in
   // microseconds. The event packs (type, dst) into arg1 so analyzers can
   // report traffic by registry name; env.trace_flags (e.g. kFlagPerturbed on
   // injected duplicates) are OR-ed into the event flags.
   double account(const Envelope& env) {
     const bool same = same_node(env.src, env.dst);
     const std::size_t bytes = env.payload_size() + kHeaderBytes;
-    auto& board = *stats_[env.src];
-    board.add(Counter::kMsgsSent);
-    board.add(Counter::kBytesSent, bytes);
-    if (!same) {
-      board.add(Counter::kMsgsOffNode);
-      board.add(Counter::kBytesOffNode, bytes);
-    }
     const double cost = topo_.message_us(model_, bytes, node_of(env.src),
                                          node_of(env.dst));
     // The modeled one-way cost rides in dur_us so `omsp-trace summary` can
     // report per-type latency without re-deriving the cost model.
-    OMSP_TRACE_EVENT(kMessage, env.src, bytes,
-                     message_trace_arg1(env.type, env.dst),
-                     static_cast<std::uint16_t>(
-                         env.trace_flags | (same ? 0 : trace::kFlagOffNode)),
-                     cost);
+    trace::record(*stats_[env.src], trace::EventKind::kMessage, env.src, bytes,
+                  message_trace_arg1(env.type, env.dst),
+                  static_cast<std::uint16_t>(
+                      env.trace_flags | (same ? 0 : trace::kFlagOffNode)),
+                  cost);
     return cost;
   }
 
   // --- reliability accounting (net::PerturbingTransport's loss layer) -------
-  // Same funnel discipline as account(): every counter bump is paired with
-  // its trace event at the same site, so `omsp-trace check` stays exact
-  // under loss. The lost copy's wire transmission is accounted separately
-  // through account() by the caller — these record the protocol-level facts.
+  // Each records one event through trace::record, so `omsp-trace check`
+  // stays exact under loss. The lost copy's wire transmission is accounted
+  // separately through account() by the caller — these record the
+  // protocol-level facts.
 
   // A one-way delivery of `env` was dropped in flight. Attributed to the
   // sender of the dropped copy.
   void account_loss(const Envelope& env) {
-    stats_[env.src]->add(Counter::kMsgsLost);
-    OMSP_TRACE_EVENT(kMessageLost, env.src,
-                     env.payload_size() + kHeaderBytes,
-                     message_trace_arg1(env.type, env.dst), env.trace_flags,
-                     0.0);
+    trace::record(*stats_[env.src], trace::EventKind::kMessageLost, env.src,
+                  env.payload_size() + kHeaderBytes,
+                  message_trace_arg1(env.type, env.dst), env.trace_flags);
   }
 
   // The sender's RTO for `env` expired and attempt `attempt` (1-based count
   // of retransmissions so far) is being issued after waiting rto_us.
   void account_retransmit(const Envelope& env, std::uint32_t attempt,
                           double rto_us) {
-    stats_[env.src]->add(Counter::kRetransmits);
-    OMSP_TRACE_EVENT(kRetransmit, env.src, attempt,
-                     message_trace_arg1(env.type, env.dst), env.trace_flags,
-                     rto_us);
+    trace::record(*stats_[env.src], trace::EventKind::kRetransmit, env.src,
+                  attempt, message_trace_arg1(env.type, env.dst),
+                  env.trace_flags, rto_us);
   }
 
   // Context `acker` sent an explicit ack for seq `seq` of the notice channel
   // that delivered `env` (the ack message itself is accounted via account()).
   void account_ack(ContextId acker, const Envelope& env, std::uint32_t seq) {
-    stats_[acker]->add(Counter::kAcksSent);
-    OMSP_TRACE_EVENT(kAck, acker, seq,
-                     message_trace_arg1(env.type, env.dst), env.trace_flags,
-                     0.0);
+    trace::record(*stats_[acker], trace::EventKind::kAck, acker, seq,
+                  message_trace_arg1(env.type, env.dst), env.trace_flags);
   }
 
   // One edge of a hierarchical collective schedule (coll::Schedule) carried
@@ -185,11 +173,9 @@ public:
   // message itself is accounted via account().
   void account_coll_stage(ContextId sender, std::uint32_t level,
                           ContextId leader, std::size_t wire_bytes) {
-    auto& board = *stats_[sender];
-    board.add(Counter::kCollStages);
-    board.add(Counter::kCollBytes, wire_bytes);
-    OMSP_TRACE_EVENT(kCollStage, sender, wire_bytes,
-                     (static_cast<std::uint64_t>(level) << 32) | leader);
+    trace::record(*stats_[sender], trace::EventKind::kCollStage, sender,
+                  wire_bytes,
+                  (static_cast<std::uint64_t>(level) << 32) | leader);
   }
 
 private:

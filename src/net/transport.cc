@@ -104,9 +104,8 @@ double InlineTransport::contention_us(const Envelope& env,
       if (stage_waits_.size() <= stage) stage_waits_.resize(stage + 1);
       stage_waits_[stage].waits += 1;
       stage_waits_[stage].wait_us += wait;
-      router_.stats(env.src).add(Counter::kContentionStageWaits);
-      OMSP_TRACE_EVENT(kContentionWait, env.src, stage, seg, env.trace_flags,
-                       wait);
+      trace::record(router_.stats(env.src), trace::EventKind::kContentionWait,
+                    env.src, stage, seg, env.trace_flags, wait);
     }
     // t < w.start: this send modeled-precedes the current busy period — it
     // would have transmitted before the period began, so no queueing charge
@@ -422,8 +421,6 @@ double PerturbingTransport::retransmit(const Envelope& copy,
   const double rto = router_.model().retransmit_timeout_us(attempt);
   router_.account_retransmit(copy, attempt + 1, rto);
   std::lock_guard lock(mutex_);
-  ++stats_.losses;
-  ++stats_.retransmits;
   stats_.rto_wait_us += rto;
   return rto;
 }
@@ -571,8 +568,6 @@ Delivery PerturbingTransport::notify_ex(const Envelope& env) {
     ack.wire_extra = kSeqAckBytes;
     (void)inner_->notify(ack);
     router_.account_ack(e.dst, e, seq);
-    std::lock_guard lock(mutex_);
-    ++stats_.acks;
     return ack;
   };
 

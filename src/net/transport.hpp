@@ -431,14 +431,13 @@ struct PerturbOptions {
   bool lossy() const { return loss_prob > 0 || drop_first; }
 };
 
+// Transport-local tallies that no StatsBoard counter holds; losses,
+// retransmits and acks are the kMsgsLost/kRetransmits/kAcksSent counters.
 struct PerturbStats {
   std::uint64_t duplicates = 0; // injected re-deliveries
   std::uint64_t reorders = 0;   // held-back one-way notifications
   double jitter_us = 0;         // total injected latency (jitter + hold-back)
   // Reliable-delivery layer:
-  std::uint64_t losses = 0;         // one-way deliveries dropped
-  std::uint64_t retransmits = 0;    // RTO expiries that reissued a copy
-  std::uint64_t acks = 0;           // explicit acks on notice channels
   std::uint64_t dups_suppressed = 0; // notice copies deduped by (channel,seq)
   double rto_wait_us = 0;           // total modeled RTO latency injected
 };

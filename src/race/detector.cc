@@ -151,12 +151,10 @@ void Detector::sweep(StatsBoard& board) {
       }
     }
   }
-  if (checks > 0) {
-    board.add(Counter::kRaceChecks, checks);
-    OMSP_TRACE_EVENT(kRaceCheck, 0, checks, entries_swept);
-  }
+  if (checks > 0)
+    trace::record(board, trace::EventKind::kRaceCheck, 0, checks,
+                  entries_swept);
   for (const Report& r : found) {
-    board.add(Counter::kRacesDetected);
     const std::uint64_t arg0 = (static_cast<std::uint64_t>(r.page) << 32) |
                                (static_cast<std::uint64_t>(r.lo) << 16) |
                                static_cast<std::uint64_t>(r.hi);
@@ -165,7 +163,7 @@ void Detector::sweep(StatsBoard& board) {
                                (static_cast<std::uint64_t>(r.seq_a & 0xffff)
                                 << 16) |
                                static_cast<std::uint64_t>(r.seq_b & 0xffff);
-    OMSP_TRACE_EVENT(kRaceDetected, 0, arg0, arg1);
+    trace::record(board, trace::EventKind::kRaceDetected, 0, arg0, arg1);
   }
   reports_.insert(reports_.end(), std::make_move_iterator(found.begin()),
                   std::make_move_iterator(found.end()));

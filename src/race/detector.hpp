@@ -91,8 +91,8 @@ public:
 
   // Barrier/join-time sweep: run the pairwise concurrency + overlap check
   // over every page history accumulated since the last sweep, then clear the
-  // histories. Charges kRaceChecks/kRacesDetected to `board` and emits the
-  // paired kRaceCheck/kRaceDetected trace events (stats<->trace audit).
+  // histories. Records kRaceCheck/kRaceDetected events through
+  // trace::record, which moves kRaceChecks/kRacesDetected on `board`.
   // Reports accumulate across sweeps for reports().
   void sweep(StatsBoard& board);
 

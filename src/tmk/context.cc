@@ -80,7 +80,7 @@ void (*testing_home_apply_hook)(ContextId, PageId) = nullptr;
 DsmContext::DsmContext(ContextId id, const Config& config, net::Router& router)
     : config_(config), id_(id), chaos_permille_(chaos_permille()),
       router_(router), stats_(&router.stats(id)),
-      heap_(config.heap_bytes, config.use_alias_mapping(), id, stats_,
+      heap_(config.heap_bytes, config.use_alias_mapping(), id, *stats_,
             &config.cost) {
   nc_ = config.num_contexts();
   vt_ = VectorTime(nc_);
@@ -122,8 +122,6 @@ void DsmContext::on_fault(void* addr, bool is_write) {
     // clock sync as if it were application compute; take it back out.
     rs.clock()->discount_cpu(FaultRegistry::fault_trap_overhead_us());
   }
-  stats_->add(Counter::kPageFaults);
-  stats_->add(is_write ? Counter::kWriteFaults : Counter::kReadFaults);
   const double fault_t0 =
       rs.clock() != nullptr ? rs.clock()->now_us() : 0;
 
@@ -175,9 +173,9 @@ void DsmContext::on_fault(void* addr, bool is_write) {
     // Spurious: another thread already installed sufficient access.
     break;
   }
-  OMSP_TRACE_EVENT(kPageFault, id_, p, 0,
-                   is_write ? trace::kFlagWrite : std::uint16_t{0},
-                   rs.clock() != nullptr ? rs.clock()->now_us() - fault_t0 : 0);
+  trace::record(*stats_, trace::EventKind::kPageFault, id_, p, 0,
+                is_write ? trace::kFlagWrite : std::uint16_t{0},
+                rs.clock() != nullptr ? rs.clock()->now_us() - fault_t0 : 0);
 }
 
 void DsmContext::set_prot(PageId p, Protection prot) {
@@ -216,8 +214,7 @@ void DsmContext::make_twin(PageId p) {
     std::lock_guard<std::mutex> tl(table_mutex_);
     meta.race_collected_seq = last_listed_[p];
   }
-  stats_->add(Counter::kTwins);
-  OMSP_TRACE_EVENT(kTwinCreate, id_, p);
+  trace::record(*stats_, trace::EventKind::kTwinCreate, id_, p);
   OMSP_PTRACE(p, "twin made val=%ld",
               reinterpret_cast<const long*>(meta.twin.get())[trace_off() / 8]);
   if (auto* clock = sim::VirtualClock::current(); clock != nullptr)
@@ -355,12 +352,12 @@ void DsmContext::fetch_and_apply(PageId p, std::unique_lock<std::mutex>& lock) {
           if (maxseq >= nd.want) {
             OMSP_PTRACE(p, "prefetch hit creator=%u bytes=%llu", nd.creator,
                         static_cast<unsigned long long>(used_bytes));
-            stats_->add(Counter::kPrefetchHits);
-            OMSP_TRACE_EVENT(kPrefetchHit, id_, p, used_bytes,
-                             router_.same_node(id_, nd.creator)
-                                 ? std::uint16_t{0}
-                                 : trace::kFlagOffNode,
-                             residual);
+            trace::record(*stats_, trace::EventKind::kPrefetchHit, id_, p,
+                          used_bytes,
+                          router_.same_node(id_, nd.creator)
+                              ? std::uint16_t{0}
+                              : trace::kFlagOffNode,
+                          residual);
             it = needs.erase(it);
           } else {
             nd.have = std::max(nd.have, maxseq);
@@ -419,9 +416,9 @@ void DsmContext::fetch_and_apply(PageId p, std::unique_lock<std::mutex>& lock) {
         OMSP_PTRACE(p, "applied[%u] -> %u (async)", need.creator, a);
       }
       if (clock != nullptr) clock->advance_to(last_complete);
-      OMSP_TRACE_EVENT(kDiffFetchAsync, id_, p, total_bytes,
-                       offnode ? trace::kFlagOffNode : std::uint16_t{0},
-                       clock != nullptr ? clock->now_us() - t0 : 0);
+      trace::note(trace::EventKind::kDiffFetchAsync, id_, p, total_bytes,
+                  offnode ? trace::kFlagOffNode : std::uint16_t{0},
+                  clock != nullptr ? clock->now_us() - t0 : 0);
     } else {
       for (const Need& need : needs) {
         // The request carries our vector time; the reply piggybacks every
@@ -436,10 +433,10 @@ void DsmContext::fetch_and_apply(PageId p, std::unique_lock<std::mutex>& lock) {
         my_vt.serialize(req);
         auto reply = router_.transport().call(net::Envelope::request(
             id_, need.creator, net::MsgType::kDiffRequest, req));
-        OMSP_TRACE_EVENT(kDiffFetch, id_, p, reply.size(),
-                         router_.same_node(id_, need.creator)
-                             ? std::uint16_t{0}
-                             : trace::kFlagOffNode);
+        trace::note(trace::EventKind::kDiffFetch, id_, p, reply.size(),
+                    router_.same_node(id_, need.creator)
+                        ? std::uint16_t{0}
+                        : trace::kFlagOffNode);
         const IntervalSeq maxseq = parse_reply(reply, need.creator, need.have);
         {
           std::lock_guard<std::mutex> tl(table_mutex_);
@@ -483,8 +480,8 @@ void DsmContext::fetch_and_apply(PageId p, std::unique_lock<std::mutex>& lock) {
       // The race baseline absorbs the same remote bytes: they are not this
       // context's writes and must never surface in its collection delta.
       if (meta.race_twin != nullptr) apply_diff(g.diff, meta.race_twin.get());
-      stats_->add(Counter::kDiffsApplied);
-      OMSP_TRACE_EVENT(kDiffApply, id_, p, g.diff.size());
+      trace::record(*stats_, trace::EventKind::kDiffApply, id_, p,
+                    g.diff.size());
       if (clock != nullptr)
         clock->charge(config_.cost.diff_apply_base_us +
                       config_.cost.diff_byte_us *
@@ -503,8 +500,7 @@ void DsmContext::handle(ContextId src, net::MsgType type, ByteReader& request,
     const DiffBytes diff = request.get_span<std::uint8_t>();
     std::lock_guard<std::mutex> pl(page_lock(p));
     apply_bytes_at_home(p, diff.data(), diff.size(), /*full_page=*/false);
-    stats_->add(Counter::kDiffsApplied);
-    OMSP_TRACE_EVENT(kDiffApply, id_, p, diff.size());
+    trace::record(*stats_, trace::EventKind::kDiffApply, id_, p, diff.size());
     return;
   }
   if (type == net::MsgType::kPageRequest) {
@@ -515,8 +511,8 @@ void DsmContext::handle(ContextId src, net::MsgType type, ByteReader& request,
     std::uint8_t snapshot[kPageSize];
     heap_.snapshot_page(p, snapshot);
     reply.put_span<std::uint8_t>({snapshot, kPageSize});
-    stats_->add(Counter::kFullPageFetches);
-    OMSP_TRACE_EVENT(kFullPageFetch, id_, p, kPageSize);
+    trace::record(*stats_, trace::EventKind::kFullPageFetch, id_, p,
+                  kPageSize);
     return;
   }
   if (type == net::MsgType::kDiffRequestBatch) {
@@ -805,8 +801,7 @@ void DsmContext::flush_page_diff_locked(PageId p) {
       table_[id_].push_back(IntervalInfo{vt_, {p}});
       last_listed_[p] = tag;
       sync_vt_[id_] = tag; // own intervals are always sync-known to self
-      stats_->add(Counter::kIntervals);
-      OMSP_TRACE_EVENT(kIntervalClose, id_, tag, 1);
+      trace::record(*stats_, trace::EventKind::kIntervalClose, id_, tag, 1);
       OMSP_PTRACE(p, "flush mints interval seq=%u", tag);
       if (race_ != nullptr) {
         minted = true;
@@ -851,9 +846,7 @@ void DsmContext::flush_page_diff_locked(PageId p) {
     meta.race_twin.reset();
   }
 
-  stats_->add(Counter::kDiffsCreated);
-  stats_->add(Counter::kDiffBytesCreated, diff.size());
-  OMSP_TRACE_EVENT(kDiffCreate, id_, p, diff.size());
+  trace::record(*stats_, trace::EventKind::kDiffCreate, id_, p, diff.size());
   if (auto* clock = sim::VirtualClock::current(); clock != nullptr)
     clock->charge(config_.cost.diff_create_base_us +
                   config_.cost.diff_byte_us * kPageSize);
@@ -925,8 +918,8 @@ std::optional<IntervalRecord> DsmContext::close_interval() {
   }
   for (PageId p : rec.pages)
     OMSP_PTRACE(p, "close lists page in interval seq=%u", rec.seq);
-  stats_->add(Counter::kIntervals);
-  OMSP_TRACE_EVENT(kIntervalClose, id_, rec.seq, rec.pages.size());
+  trace::record(*stats_, trace::EventKind::kIntervalClose, id_, rec.seq,
+                rec.pages.size());
 
   if (race_ != nullptr) {
     // Collect each listed page's delta-since-last-collection NOW and hand it
@@ -978,9 +971,8 @@ std::optional<IntervalRecord> DsmContext::close_interval() {
       std::uint8_t snapshot[kPageSize];
       heap_.snapshot_page(p, snapshot);
       DiffBytes diff = create_diff(meta.twin.get(), snapshot);
-      stats_->add(Counter::kDiffsCreated);
-      stats_->add(Counter::kDiffBytesCreated, diff.size());
-      OMSP_TRACE_EVENT(kDiffCreate, id_, p, diff.size());
+      trace::record(*stats_, trace::EventKind::kDiffCreate, id_, p,
+                    diff.size());
       if (auto* clock = sim::VirtualClock::current(); clock != nullptr)
         clock->charge(config_.cost.diff_create_base_us +
                       config_.cost.diff_byte_us * kPageSize);
@@ -1069,8 +1061,8 @@ void DsmContext::apply_records(const std::vector<IntervalRecord>& records,
       OMSP_CHECK_MSG(vt_[c] <= table_base_[c] + table_[c].size(),
                      "apply_records left an uncovered vector-time claim");
   }
-  stats_->add(Counter::kWriteNoticesRecv, notices);
-  if (notices > 0) OMSP_TRACE_EVENT(kWriteNoticesRecv, id_, notices);
+  if (notices > 0)
+    trace::record(*stats_, trace::EventKind::kWriteNoticesRecv, id_, notices);
 
   std::sort(to_invalidate.begin(), to_invalidate.end());
   to_invalidate.erase(std::unique(to_invalidate.begin(), to_invalidate.end()),
@@ -1102,8 +1094,7 @@ void DsmContext::invalidate_run(PageId first, std::size_t n) {
     meta.fresh_invalidate = true;
     meta.prot = Protection::kNone;
     heap_.charge_protect(p, Protection::kNone);
-    stats_->add(Counter::kPageInvalidations);
-    OMSP_TRACE_EVENT(kInvalidate, id_, p);
+    trace::record(*stats_, trace::EventKind::kInvalidate, id_, p);
     OMSP_PTRACE(p, "invalidated");
     changed = true;
   }
@@ -1335,9 +1326,8 @@ void DsmContext::start_prefetch_round() {
     batch.pages = list;
     batch.reply = router_.transport().call_async(net::Envelope::request(
         id_, c, net::MsgType::kDiffRequestBatch, req));
-    stats_->add(Counter::kPrefetchBatches);
-    stats_->add(Counter::kPrefetchPagesFetched, list.size());
-    OMSP_TRACE_EVENT(kPrefetchBatch, id_, c, list.size());
+    trace::record(*stats_, trace::EventKind::kPrefetchBatch, id_, c,
+                  list.size());
     std::lock_guard<std::mutex> pm(prefetch_mutex_);
     prefetch_inflight_.push_back(std::move(batch));
   }

@@ -27,11 +27,10 @@
 //   * Diffs gathered across all rounds of one fetch are applied in a single
 //     globally vt-sorted pass (a per-round apply could put an older diff on
 //     top of a newer one).
-//   * Observability: every StatsBoard increment on these paths is paired
-//     with an OMSP_TRACE_EVENT at the same site, and `omsp-trace check`
-//     asserts a lossless trace reconstructs every counter exactly — so a
-//     protocol change that forgets either half of the pair fails the trace
-//     integration tests rather than silently skewing Tables 2-3.
+//   * Observability: every counter on these paths moves through
+//     trace::record, which derives the counts from the event it emits, so a
+//     lossless trace reconstructs every counter exactly (`omsp-trace check`)
+//     and no site can count without tracing or trace without counting.
 //
 // Page table: pages_, the page locks, dirty_, last_listed_, pending_ and
 // applied_ cover the prefix of the shared heap the allocator has handed out,

@@ -37,7 +37,7 @@ int to_native(Protection p) {
 } // namespace
 
 HeapMapping::HeapMapping(std::size_t bytes, bool alias, ContextId owner,
-                         StatsBoard* stats, const sim::CostModel* cost)
+                         StatsBoard& stats, const sim::CostModel* cost)
     : bytes_(round_up(bytes, kHeapPageSize)), modeled_alias_(alias),
       owner_(owner), stats_(stats), cost_(cost) {
   OMSP_CHECK(static_cast<std::size_t>(::sysconf(_SC_PAGESIZE)) ==
@@ -88,8 +88,8 @@ void HeapMapping::protect_host(PageId first, std::size_t count,
 
 void HeapMapping::charge_protect(PageId page, Protection prot) {
   OMSP_DCHECK(page < pages());
-  if (stats_ != nullptr) stats_->add(Counter::kMprotect);
-  OMSP_TRACE_EVENT(kMprotect, owner_, page, static_cast<std::uint64_t>(prot));
+  trace::record(stats_, trace::EventKind::kMprotect, owner_, page,
+                static_cast<std::uint64_t>(prot));
   if (auto* clock = sim::VirtualClock::current(); clock != nullptr)
     clock->charge(cost_->mprotect_us);
 }

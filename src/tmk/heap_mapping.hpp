@@ -65,7 +65,7 @@ public:
   // trivially coherent across contexts. `owner` is the context the mprotect
   // counters and trace events are attributed to.
   HeapMapping(std::size_t bytes, bool alias, ContextId owner,
-              StatsBoard* stats, const sim::CostModel* cost);
+              StatsBoard& stats, const sim::CostModel* cost);
   ~HeapMapping();
 
   HeapMapping(const HeapMapping&) = delete;
@@ -141,7 +141,7 @@ private:
   bool modeled_alias_ = false;
   std::atomic<std::uint64_t> host_mprotects_{0};
   ContextId owner_;
-  StatsBoard* stats_;
+  StatsBoard& stats_;
   const sim::CostModel* cost_;
 };
 

@@ -260,8 +260,8 @@ void DsmSystem::barrier() {
           std::make_move_iterator(arrival.recs.end()));
     }
     bar_arrival_vt_[cid] = contexts_[cid]->vt_snapshot();
-    router_->stats(cid).add(Counter::kBarriers);
-    OMSP_TRACE_EVENT(kBarrierArrive, cid, mygen);
+    trace::record(router_->stats(cid), trace::EventKind::kBarrierArrive, cid,
+                  mygen);
   }
   bar_max_arrival_ = std::max(bar_max_arrival_, clk.now_us() + arrival_cost);
   if (tree)
@@ -320,8 +320,8 @@ void DsmSystem::barrier() {
   }
   clk.advance_to(bar_departure_time_[cid]);
   clk.skip_cpu();
-  OMSP_TRACE_EVENT(kBarrierWait, cid, mygen, 0, std::uint16_t{0},
-                   clk.now_us() - wait_t0);
+  trace::note(trace::EventKind::kBarrierWait, cid, mygen, 0, 0,
+              clk.now_us() - wait_t0);
 }
 
 void DsmSystem::maybe_race_sweep() {
@@ -342,8 +342,9 @@ DsmSystem::RecordSend DsmSystem::send_records(ContextId from, ContextId to,
   out.bytes = header_bytes + records_wire_size(out.recs);
   out.cost_us = notify(from, to, type, out.bytes);
   const auto notices = records_notice_count(out.recs);
-  router_->stats(from).add(Counter::kWriteNoticesSent, notices);
-  if (notices > 0) OMSP_TRACE_EVENT(kWriteNoticesSent, from, notices);
+  if (notices > 0)
+    trace::record(router_->stats(from), trace::EventKind::kWriteNoticesSent,
+                  from, notices);
   return out;
 }
 
@@ -427,7 +428,7 @@ double DsmSystem::grant_lock(LockId l, LockState& st, ContextId to_ctx,
   const RecordSend grant =
       send_records(from, to_ctx, MsgType::kLockGrant, kLockGrantHeaderBytes,
                    contexts_[to_ctx]->vt_snapshot());
-  OMSP_TRACE_EVENT(kLockGrant, from, l, to_ctx);
+  trace::note(trace::EventKind::kLockGrant, from, l, to_ctx);
   acquire_records(to_ctx, from, grant.recs);
 
   st.held = true;
@@ -471,7 +472,6 @@ bool DsmSystem::acquire(LockId l, bool wait) {
     clk.skip_cpu();
     return false;
   }
-  router_->stats(cid).add(Counter::kLockAcquires);
 
   const bool remote = st.held || st.cached_at != cid;
   if (!remote) {
@@ -481,7 +481,6 @@ bool DsmSystem::acquire(LockId l, bool wait) {
     st.holder_rank = rank;
     clk.advance_to(st.release_time);
   } else {
-    router_->stats(cid).add(Counter::kLockRemoteAcquires);
     if (cid != manager)
       clk.charge(notify(cid, manager, MsgType::kLockRequest,
                         kLockRequestBytes + vt_wire_size()));
@@ -504,9 +503,9 @@ bool DsmSystem::acquire(LockId l, bool wait) {
     clk.advance_to(grant_time);
   }
   clk.skip_cpu();
-  OMSP_TRACE_EVENT(kLockAcquire, cid, l, 0,
-                   remote ? trace::kFlagRemote : std::uint16_t{0},
-                   clk.now_us() - acq_t0);
+  trace::record(router_->stats(cid), trace::EventKind::kLockAcquire, cid, l, 0,
+                remote ? trace::kFlagRemote : std::uint16_t{0},
+                clk.now_us() - acq_t0);
   return true;
 }
 
@@ -579,7 +578,7 @@ void DsmSystem::maybe_collect_garbage() {
   std::size_t stored = 0;
   for (auto& c : contexts_) stored += c->stored_diff_bytes();
   if (stored <= config_.gc_threshold_bytes) return;
-  OMSP_TRACE_EVENT(kGcEpisode, 0, stored);
+  trace::note(trace::EventKind::kGcEpisode, 0, stored);
 
   const std::uint32_t nc = config_.num_contexts();
   // Fixpoint: validating a page can flush a twin at its creator, which mints

@@ -2,11 +2,13 @@
 //
 // One Event is a fixed-size, trivially-copyable record of a single protocol
 // action, stamped with the emitting thread's virtual clock and the context it
-// happened in. The taxonomy deliberately mirrors the StatsBoard counters:
-// every counter increment in the runtime has a corresponding event emission
-// at the same site, so a trace can be folded back into a StatsSnapshot and
-// compared against the live counters — a built-in consistency audit of the
-// stats layer (see reconstruct_counters in sinks.hpp and `omsp-trace check`).
+// happened in. count_event below is the one kind→counter table: protocol
+// code moves a StatsBoard counter only through trace::record, which passes
+// the event through that table into the board and emits the same event, and
+// reconstruct_counters folds a trace back through the same table. A lossless
+// trace of a reset window therefore reproduces that window's counters by
+// construction; `omsp-trace check` catches dropped events and misaligned
+// windows.
 //
 // Field use per kind is documented on the enum; unused fields are zero.
 #pragma once
@@ -15,6 +17,7 @@
 #include <cstdint>
 
 #include "common/serialize.hpp"
+#include "common/stats.hpp"
 #include "common/types.hpp"
 
 namespace omsp::trace {
@@ -52,38 +55,34 @@ enum class EventKind : std::uint16_t {
                      // reply completion on the faulting thread's clock)
   kPrefetchBatch,    // counter-bearing: one kDiffRequestBatch issued at
                      // barrier departure; arg0 = creator ctx, arg1 = pages
-                     // (kPrefetchBatches += 1, kPrefetchPagesFetched += arg1)
   kPrefetchHit,      // counter-bearing: a fault-time creator need satisfied
                      // entirely from prefetched diffs; arg0 = page,
                      // arg1 = buffered bytes used; dur = residual stall
                      // (0 = batch completed before first touch)
   kMessageLost,      // counter-bearing: one-way delivery dropped by the lossy
                      // transport; arg0 = wire bytes, arg1 = (type<<32)|dst,
-                     // ctx = the sender of the dropped copy
-                     // (kMsgsLost += 1). The lost copy's kMessage event was
-                     // emitted by account() — it went on the wire.
+                     // ctx = the sender of the dropped copy. The lost
+                     // copy's kMessage event was emitted by account() — it
+                     // went on the wire.
   kRetransmit,       // counter-bearing: a retransmission issued after a
                      // modeled RTO expiry; arg0 = attempt number (1-based),
                      // arg1 = (type<<32)|dst; dur = the RTO charged
-                     // (kRetransmits += 1)
   kAck,              // counter-bearing: explicit ack for a reliable notice
                      // channel; arg0 = acked seq, arg1 = (type<<32)|dst of
-                     // the acked notice; ctx = the acking side
-                     // (kAcksSent += 1; the ack's own kMessage event is
-                     // emitted by account() like any wire message)
+                     // the acked notice; ctx = the acking side (the ack's
+                     // own kMessage event is emitted by account() like any
+                     // wire message)
   kCollStage,        // counter-bearing: one edge of a hierarchical collective
                      // schedule traversed (tree mode only); arg0 = wire
                      // bytes, arg1 = (level<<32)|leader where level is the
                      // topology stage the edge crosses and leader is the
                      // receiving (up pass) or sending (down pass) leader;
-                     // ctx = the sender (kCollStages += 1,
-                     // kCollBytes += arg0). The message's own kMessage event
-                     // is emitted by account() like any wire message.
+                     // ctx = the sender. The message's own kMessage event is
+                     // emitted by account() like any wire message.
   kRaceCheck,        // counter-bearing: one detector sweep that ran at least
                      // one pairwise concurrency check (Config::race); arg0 =
                      // pair checks performed, arg1 = write entries swept;
                      // ctx = 0 (the sweep runs at a quiescent point)
-                     // (kRaceChecks += arg0)
   kRaceDetected,     // counter-bearing: one write-write race report; arg0 =
                      // (page << 32) | (lo << 16) | hi — the overlapping byte
                      // range [lo, hi) within the page; arg1 = (ctx_a << 48) |
@@ -91,13 +90,11 @@ enum class EventKind : std::uint16_t {
                      // (seq_b & 0xffff) — the racing writers and their
                      // interval seqs (16-bit truncated on the wire; full
                      // values live in race::Detector::reports()); ctx = 0
-                     // (kRacesDetected += 1)
   kContentionWait,   // counter-bearing: one message queued behind the busy
                      // window of one link segment along its path; arg0 = the
                      // topology stage of the segment, arg1 = the packed
                      // segment key (sim::Topology::path_segments); dur = the
                      // modeled wait charged; ctx = the sender
-                     // (kContentionStageWaits += 1)
   kCount
 };
 
@@ -136,6 +133,73 @@ struct Event {
 
   bool operator==(const Event&) const = default;
 };
+
+// The kind→counter table: calls add(counter, n) once for every counter `e`
+// moves. Analysis-only kinds move none.
+template <typename Add> void count_event(const Event& e, Add&& add) {
+  switch (e.kind) {
+  case EventKind::kMessage:
+    add(Counter::kMsgsSent, 1);
+    add(Counter::kBytesSent, e.arg0);
+    if (e.flags & kFlagOffNode) {
+      add(Counter::kMsgsOffNode, 1);
+      add(Counter::kBytesOffNode, e.arg0);
+    }
+    break;
+  case EventKind::kPageFault:
+    add(Counter::kPageFaults, 1);
+    add((e.flags & kFlagWrite) ? Counter::kWriteFaults : Counter::kReadFaults,
+        1);
+    break;
+  case EventKind::kTwinCreate: add(Counter::kTwins, 1); break;
+  case EventKind::kDiffCreate:
+    add(Counter::kDiffsCreated, 1);
+    add(Counter::kDiffBytesCreated, e.arg1);
+    break;
+  case EventKind::kDiffApply: add(Counter::kDiffsApplied, 1); break;
+  case EventKind::kMprotect: add(Counter::kMprotect, 1); break;
+  case EventKind::kLockAcquire:
+    add(Counter::kLockAcquires, 1);
+    if (e.flags & kFlagRemote) add(Counter::kLockRemoteAcquires, 1);
+    break;
+  case EventKind::kBarrierArrive: add(Counter::kBarriers, 1); break;
+  case EventKind::kIntervalClose: add(Counter::kIntervals, 1); break;
+  case EventKind::kWriteNoticesSent:
+    add(Counter::kWriteNoticesSent, e.arg0);
+    break;
+  case EventKind::kWriteNoticesRecv:
+    add(Counter::kWriteNoticesRecv, e.arg0);
+    break;
+  case EventKind::kInvalidate: add(Counter::kPageInvalidations, 1); break;
+  case EventKind::kFullPageFetch: add(Counter::kFullPageFetches, 1); break;
+  case EventKind::kPrefetchBatch:
+    add(Counter::kPrefetchBatches, 1);
+    add(Counter::kPrefetchPagesFetched, e.arg1);
+    break;
+  case EventKind::kPrefetchHit: add(Counter::kPrefetchHits, 1); break;
+  case EventKind::kMessageLost: add(Counter::kMsgsLost, 1); break;
+  case EventKind::kRetransmit: add(Counter::kRetransmits, 1); break;
+  case EventKind::kAck: add(Counter::kAcksSent, 1); break;
+  case EventKind::kCollStage:
+    add(Counter::kCollStages, 1);
+    add(Counter::kCollBytes, e.arg0);
+    break;
+  case EventKind::kRaceCheck: add(Counter::kRaceChecks, e.arg0); break;
+  case EventKind::kRaceDetected: add(Counter::kRacesDetected, 1); break;
+  case EventKind::kContentionWait:
+    add(Counter::kContentionStageWaits, 1);
+    break;
+  case EventKind::kLockGrant:
+  case EventKind::kBarrierWait:
+  case EventKind::kDiffFetch:
+  case EventKind::kDiffFetchAsync:
+  case EventKind::kGcEpisode:
+  case EventKind::kRegionBegin:
+  case EventKind::kRegionEnd:
+  case EventKind::kCount:
+    break;
+  }
+}
 
 // Fixed wire encoding (44 bytes, little-endian like all protocol messages).
 inline constexpr std::size_t kEventWireBytes = 44;

@@ -11,9 +11,10 @@
 //    the virtual-time axis. Duration events (faults, barrier waits, lock
 //    acquires) render as slices; everything else as instants.
 //
-// reconstruct_counters folds an event stream back into a StatsSnapshot using
-// the kind→counter mapping documented in event.hpp — the core of the
-// trace/stats consistency audit (`omsp-trace check` / `--self-check`).
+// reconstruct_counters folds an event stream back into a StatsSnapshot
+// through count_event (event.hpp), the same table trace::record moves the
+// live counters with — the core of the trace/stats audit (`omsp-trace check`
+// / `--self-check`), which catches dropped events and misaligned windows.
 #pragma once
 
 #include <string>
@@ -75,9 +76,8 @@ std::string chrome_trace_json(const std::vector<Event>& events);
 void write_chrome_json(const std::string& path,
                        const std::vector<Event>& events);
 
-// Fold the event stream back into counter totals. Events attributed to
-// context `ctx` land on that context's conceptual board, exactly like the
-// live StatsBoard increments; the returned snapshot is the all-context sum.
+// Fold the event stream back into counter totals through count_event; the
+// returned snapshot is the all-context sum.
 StatsSnapshot reconstruct_counters(const std::vector<Event>& events);
 
 } // namespace omsp::trace

@@ -2,9 +2,10 @@
 //
 // Design:
 //  * One process-global active Tracer (installed by the DsmSystem whose
-//    Config enabled tracing). Emission sites call the OMSP_TRACE_EVENT macro,
-//    which is a single relaxed atomic load plus a predicted-untaken branch
-//    when tracing is off — cheap enough for the fault and message hot paths.
+//    Config enabled tracing). Protocol code calls record() (count and emit)
+//    or note() (emit only); with tracing off the emit half is a single
+//    relaxed atomic load plus a predicted-untaken branch — cheap enough for
+//    the fault and message hot paths.
 //  * Each emitting thread owns a single-producer/single-consumer ring buffer
 //    registered on first emission. Producers never take a lock and never
 //    block: a full ring drops the event and counts it (the drop counter is
@@ -20,9 +21,6 @@
 // generation counter: a cached thread-local ring is revalidated against the
 // active tracer's generation on every emit, so stale pointers from a
 // destroyed tracer are never dereferenced.
-//
-// Define OMSP_TRACE_COMPILED_OUT to compile every emission site down to
-// nothing (the "compile-time-cheap" escape hatch for overhead audits).
 #pragma once
 
 #include <atomic>
@@ -115,7 +113,7 @@ public:
   // store; called unconditionally by the worker pool.
   static void bind_thread(std::uint32_t track);
 
-  // --- emission (hot path; use the macro) -----------------------------------
+  // --- emission (hot path; protocol code goes through record/note) ---------
   void emit(EventKind kind, ContextId ctx, std::uint64_t arg0 = 0,
             std::uint64_t arg1 = 0, std::uint16_t flags = 0,
             double dur_us = 0);
@@ -159,19 +157,26 @@ private:
   std::uint64_t dropped_before_clear_ = 0; // from rings retired by clear()
 };
 
-} // namespace omsp::trace
+// Emit one event to the active tracer, if any, and move no counter: for the
+// analysis-only kinds (count_event maps them onto nothing).
+inline void note(EventKind kind, ContextId ctx, std::uint64_t arg0 = 0,
+                 std::uint64_t arg1 = 0, std::uint16_t flags = 0,
+                 double dur_us = 0) {
+  if (Tracer* t = Tracer::active(); t != nullptr) [[unlikely]]
+    t->emit(kind, ctx, arg0, arg1, flags, dur_us);
+}
 
-// Emission macro. `kind_` is the bare EventKind member name; remaining
-// arguments forward to Tracer::emit (arg0, arg1, flags, dur_us).
-#ifdef OMSP_TRACE_COMPILED_OUT
-#define OMSP_TRACE_EVENT(kind_, ctx_, ...)                                     \
-  do {                                                                         \
-  } while (0)
-#else
-#define OMSP_TRACE_EVENT(kind_, ctx_, ...)                                     \
-  do {                                                                         \
-    if (::omsp::trace::Tracer* omsp_tr_ = ::omsp::trace::Tracer::active();     \
-        omsp_tr_ != nullptr) [[unlikely]]                                      \
-      omsp_tr_->emit(::omsp::trace::EventKind::kind_, (ctx_), ##__VA_ARGS__);  \
-  } while (0)
-#endif
+// The only way protocol code moves a counter: pass the event through the
+// kind→counter table (count_event) into `board`, the board of the context
+// the event is attributed to, and emit the same event when a tracer is
+// active.
+inline void record(StatsBoard& board, EventKind kind, ContextId ctx,
+                   std::uint64_t arg0 = 0, std::uint64_t arg1 = 0,
+                   std::uint16_t flags = 0, double dur_us = 0) {
+  count_event(Event{.dur_us = dur_us, .arg0 = arg0, .arg1 = arg1, .ctx = ctx,
+                    .kind = kind, .flags = flags},
+              [&board](Counter c, std::uint64_t n) { board.add(c, n); });
+  note(kind, ctx, arg0, arg1, flags, dur_us);
+}
+
+} // namespace omsp::trace

@@ -672,9 +672,6 @@ TEST(PerturbingTransport, ResetStatsClearsAllPerturbationTallies) {
   EXPECT_EQ(s.duplicates, 0u);
   EXPECT_EQ(s.reorders, 0u);
   EXPECT_EQ(s.jitter_us, 0.0);
-  EXPECT_EQ(s.losses, 0u);
-  EXPECT_EQ(s.retransmits, 0u);
-  EXPECT_EQ(s.acks, 0u);
   EXPECT_EQ(s.dups_suppressed, 0u);
   EXPECT_EQ(s.rto_wait_us, 0.0);
 
@@ -721,8 +718,6 @@ TEST(PerturbingTransport, DropFirstExercisesFullRetransmitPath) {
   // handler ran). Attempt 3: delivered both ways (the handler ran again).
   EXPECT_EQ(echo.calls, 2);
   auto& pt = dynamic_cast<PerturbingTransport&>(router.transport());
-  EXPECT_EQ(pt.stats().losses, 2u);
-  EXPECT_EQ(pt.stats().retransmits, 2u);
   EXPECT_DOUBLE_EQ(pt.stats().rto_wait_us, 100.0 + 200.0);
   const auto s = router.snapshot();
   EXPECT_EQ(s[Counter::kMsgsLost], 2u);
@@ -759,9 +754,6 @@ TEST(PerturbingTransport, DropFirstNoticeAckDanceAuditsExactly) {
   auto& pt = dynamic_cast<PerturbingTransport&>(router.transport());
   // Notice lost, retransmitted notice delivered, its ack lost, the sender's
   // third copy suppressed as a duplicate and re-acked.
-  EXPECT_EQ(pt.stats().losses, 2u);
-  EXPECT_EQ(pt.stats().retransmits, 2u);
-  EXPECT_EQ(pt.stats().acks, 2u);
   EXPECT_EQ(pt.stats().dups_suppressed, 1u);
   const auto live = router.snapshot();
   EXPECT_EQ(live[Counter::kMsgsLost], 2u);
@@ -847,10 +839,10 @@ TEST(PerturbingTransport, SameSeedSameLossSchedule) {
         ++failures;
       }
     }
-    auto& pt = dynamic_cast<PerturbingTransport&>(router.transport());
     return std::tuple{router.snapshot()[Counter::kMsgsSent],
                       router.snapshot()[Counter::kRetransmits],
-                      pt.stats().losses, failures, clock.now_us()};
+                      router.snapshot()[Counter::kMsgsLost], failures,
+                      clock.now_us()};
   };
   const auto a = run(9);
   EXPECT_EQ(a, run(9));

@@ -202,11 +202,6 @@ TEST(LossDeterminism, SameSeedSameResultsWithRealLossTraffic) {
   EXPECT_GT(s[Counter::kMsgsLost], 0u);
   EXPECT_GT(s[Counter::kRetransmits], 0u);
   EXPECT_GT(s[Counter::kAcksSent], 0u);
-  const auto& pt =
-      dynamic_cast<net::PerturbingTransport&>(dsm.router().transport());
-  EXPECT_EQ(pt.stats().losses, s[Counter::kMsgsLost]);
-  EXPECT_EQ(pt.stats().retransmits, s[Counter::kRetransmits]);
-  EXPECT_EQ(pt.stats().acks, s[Counter::kAcksSent]);
 }
 
 // Retry-cap exhaustion surfaces as net::TransportError from the protocol
@@ -274,6 +269,7 @@ TEST(LossFromEnv, SystemStacksLossOnlyTransportAndResetsStats) {
   Config cfg;
   cfg.topology = sim::Topology(2, 1);
   cfg.cost = sim::CostModel::zero();
+  cfg.cost.rto_us = 1; // a nonzero RTO, so losses leave rto_wait_us > 0
   DsmSystem dsm(cfg);
   auto& pt = dynamic_cast<net::PerturbingTransport&>(dsm.router().transport());
   EXPECT_TRUE(pt.options().lossy());
@@ -291,10 +287,9 @@ TEST(LossFromEnv, SystemStacksLossOnlyTransportAndResetsStats) {
       dsm.barrier();
     }
   });
-  EXPECT_GT(pt.stats().losses, 0u);
+  EXPECT_GT(pt.stats().rto_wait_us, 0.0);
   dsm.reset_stats();
-  EXPECT_EQ(pt.stats().losses, 0u);
-  EXPECT_EQ(pt.stats().retransmits, 0u);
+  EXPECT_EQ(pt.stats().rto_wait_us, 0.0);
   EXPECT_EQ(dsm.stats()[Counter::kMsgsLost], 0u);
 }
 

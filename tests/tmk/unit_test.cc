@@ -249,7 +249,7 @@ TEST(HeapMapping, AliasSharesBacking) {
   StatsBoard stats;
   sim::CostModel cost = sim::CostModel::zero();
   HeapMapping heap(4 * HeapMapping::kHeapPageSize, /*alias=*/true, /*owner=*/0,
-                   &stats, &cost);
+                   stats, &cost);
   ASSERT_TRUE(heap.has_alias());
   // Write via the runtime view while the app view is read-only.
   heap.runtime_page(1)[10] = 0x5a;
@@ -260,7 +260,7 @@ TEST(HeapMapping, ProtectCountsAndCharges) {
   StatsBoard stats;
   sim::CostModel cost = sim::CostModel::zero();
   cost.mprotect_us = 7;
-  HeapMapping heap(2 * HeapMapping::kHeapPageSize, true, /*owner=*/0, &stats, &cost);
+  HeapMapping heap(2 * HeapMapping::kHeapPageSize, true, /*owner=*/0, stats, &cost);
   sim::VirtualClock clock(1.0);
   sim::VirtualClock::Binder bind(&clock);
   heap.protect(0, Protection::kReadWrite);
@@ -273,7 +273,7 @@ TEST(HeapMapping, SnapshotWithoutAlias) {
   StatsBoard stats;
   sim::CostModel cost = sim::CostModel::zero();
   HeapMapping heap(2 * HeapMapping::kHeapPageSize, /*alias=*/false, /*owner=*/0,
-                   &stats, &cost);
+                   stats, &cost);
   heap.protect(0, Protection::kReadWrite);
   std::memset(heap.app_page(0), 0x7e, HeapMapping::kHeapPageSize);
   heap.protect(0, Protection::kNone); // invalid page...
@@ -285,7 +285,7 @@ TEST(HeapMapping, SnapshotWithoutAlias) {
 TEST(HeapMapping, ContainsAndPageOf) {
   StatsBoard stats;
   sim::CostModel cost = sim::CostModel::zero();
-  HeapMapping heap(4 * HeapMapping::kHeapPageSize, true, /*owner=*/0, &stats, &cost);
+  HeapMapping heap(4 * HeapMapping::kHeapPageSize, true, /*owner=*/0, stats, &cost);
   EXPECT_TRUE(heap.contains(heap.app_base()));
   EXPECT_TRUE(heap.contains(heap.app_base() + heap.bytes() - 1));
   EXPECT_FALSE(heap.contains(heap.app_base() + heap.bytes()));
