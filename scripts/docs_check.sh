@@ -12,11 +12,14 @@
 #  4. Config-key sync: every OMSP_CONFIG key the grammar accepts
 #     (kConfigKeys in src/common/env_config.hpp) has a row in README's key
 #     table, and every row names a key the grammar accepts.
-#  5. One counting path: no file under src/ other than src/trace/tracer.hpp
-#     (trace::record) calls a `.add(` or `->add(` member, so every counter
-#     moves through the kind->counter table, and the retired
-#     OMSP_TRACE_EVENT / OMSP_TRACE_COMPILED_OUT names appear nowhere under
-#     src/, tests/ or bench/.
+#  5. One counting path, one fetch path: no file under src/ other than
+#     src/trace/tracer.hpp (trace::record) calls a `.add(` or `->add(`
+#     member, so every counter moves through the kind->counter table, and
+#     these retired names appear nowhere under src/, tests/ or bench/: the
+#     trace macros OMSP_TRACE_EVENT / OMSP_TRACE_COMPILED_OUT, the printf
+#     page tracer OMSP_PTRACE with its OMSP_TRACE_PAGE / OMSP_TRACE_OFF
+#     variables, and the second fetch path's kDiffFetchAsync kind and
+#     async_fetch switch.
 #
 # Pure stdlib python3; no dependencies beyond what the CI image carries.
 set -euo pipefail
@@ -108,7 +111,9 @@ print(f"config-key sync: {len(code_keys & doc_keys)} keys verified")
 
 # ---- 5. counters move only through trace::record ---------------------------
 add_re = re.compile(r"(?:\.|->)add\(")
-retired_re = re.compile(r"OMSP_TRACE_EVENT|OMSP_TRACE_COMPILED_OUT")
+retired_re = re.compile(r"OMSP_TRACE_EVENT|OMSP_TRACE_COMPILED_OUT|"
+                        r"OMSP_PTRACE|OMSP_TRACE_PAGE|OMSP_TRACE_OFF|"
+                        r"kDiffFetchAsync|async_fetch")
 scanned = 0
 for top in ("src", "tests", "bench"):
     for dirpath, _, names in os.walk(top):
@@ -118,7 +123,8 @@ for top in ("src", "tests", "bench"):
             scanned += 1
             for n, line in enumerate(text.splitlines(), 1):
                 if retired_re.search(line):
-                    failures.append(f"{path}:{n}: retired trace macro name")
+                    failures.append(f"{path}:{n}: retired name "
+                                    f"{retired_re.search(line).group(0)}")
                 if (top == "src" and path != "src/trace/tracer.hpp"
                         and add_re.search(line)):
                     failures.append(f"{path}:{n}: direct add() call; move "

@@ -23,8 +23,8 @@ namespace omsp {
 
 // Every key the grammar accepts, in the order tmk::Config::to_string writes
 // them.
-inline constexpr std::array<std::string_view, 8> kConfigKeys = {
-    "topo", "coll", "overlap", "perturb", "loss", "race", "trace", "trace_json"};
+inline constexpr std::array<std::string_view, 7> kConfigKeys = {
+    "topo", "coll", "overlap", "perturb", "loss", "race", "trace"};
 
 // The OMSP_CONFIG value, or nullptr when it is unset or empty. The only
 // reader of the variable: one getenv, and no allocation when it is unset.

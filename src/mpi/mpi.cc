@@ -4,6 +4,7 @@
 
 #include "common/env_config.hpp"
 #include "net/message.hpp"
+#include "trace/tracer.hpp"
 
 namespace omsp::mpi {
 
@@ -39,6 +40,7 @@ void MpiWorld::run(const std::function<void(Comm&)>& fn) {
   threads.reserve(p);
   for (int r = 0; r < p; ++r) {
     threads.emplace_back([&, r] {
+      trace::Tracer::bind_thread(static_cast<std::uint32_t>(r));
       sim::VirtualClock clock(router_->model().cpu_scale);
       sim::VirtualClock::Binder bind(&clock);
       Comm comm(*this, r, clock);

@@ -477,6 +477,10 @@ std::vector<std::uint8_t> PerturbingTransport::call(const Envelope& env) {
 }
 
 PendingReply PerturbingTransport::call_async(const Envelope& env) {
+  // Over a synchronous transport nothing overlaps: run the exchange through
+  // call(), so its jitter and RTOs add to the caller's clock like those of
+  // any other round trip instead of folding into a completion time.
+  if (!inner_->supports_async()) return Transport::call_async(env);
   const Draw d = draw(/*one_way=*/false);
 
   Envelope e = env;
@@ -508,17 +512,10 @@ PendingReply PerturbingTransport::call_async(const Envelope& env) {
   // channel (delay 0) — serviced and dropped; the primary's reply stands.
   if (d.duplicate) riders.push_back({perturbed(e), 0.0});
 
-  PendingReply p;
-  if (auto* queued = dynamic_cast<QueuedTransport*>(inner_.get());
-      queued != nullptr && !riders.empty()) {
-    p = queued->call_async_with_dups(e, riders);
-  } else {
-    p = inner_->call_async(e);
-    // Synchronous bridge (no per-channel queue to order against): the
-    // primary's round trip completed before each rider is issued, so
-    // service order is inherently primary-first.
-    for (const auto& r : riders) (void)inner_->call_async(r.env);
-  }
+  auto* queued = dynamic_cast<QueuedTransport*>(inner_.get());
+  OMSP_CHECK_MSG(queued != nullptr,
+                 "asynchronous inner transport must be a QueuedTransport");
+  PendingReply p = queued->call_async_with_dups(e, riders);
   // Jitter (and the modeled retransmission latency) delays the reply's
   // delivery at the requester; the destination's service clock is
   // unaffected, mirroring the synchronous path.

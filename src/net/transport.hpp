@@ -197,11 +197,11 @@ public:
   }
 
   // Asynchronous request/reply. The default bridges to the synchronous
-  // call() — the request completes before this returns, so the handle's
-  // wait() is a no-op on the clock. Transports that truly overlap return
-  // supports_async() == true; protocol code uses that to gate its
-  // concurrent-issue paths (the answer must not change over the transport's
-  // lifetime).
+  // call() — the round trip runs and charges the caller before this
+  // returns, so the handle's wait() is a no-op on the clock; the fault-time
+  // diff fetch issues through here on every transport. Transports that
+  // truly overlap return supports_async() == true, which gates the barrier
+  // prefetch (the answer must not change over the transport's lifetime).
   virtual PendingReply call_async(const Envelope& env);
   virtual bool supports_async() const { return false; }
 
@@ -286,12 +286,12 @@ private:
 
 // Opt-in knobs for the overlapped communication paths (tmk::Config.overlap).
 // With enabled == false (the default) the DSM runs the seed-exact
-// InlineTransport; `overlap=on` in OMSP_CONFIG enables both sub-features.
+// InlineTransport; `overlap=on` in OMSP_CONFIG stacks the QueuedTransport,
+// whose call_async overlaps the per-creator diff requests of every fault-time
+// fetch round (max-of-RTT stall instead of sum-of-RTT), and turns on
+// prefetch.
 struct OverlapOptions {
   bool enabled = false;
-  // fetch_and_apply issues all per-creator diff requests of a round
-  // concurrently (max-of-RTT stall instead of sum-of-RTT).
-  bool async_fetch = true;
   // Barrier departure issues one aggregated kDiffRequestBatch per creator
   // for the pages its write notices invalidated, overlapped with post-
   // barrier compute until first touch.

@@ -73,11 +73,9 @@ Config Config::parse(std::string_view spec) {
       c.race = parse_config_value(e, race::Options::parse);
     } else if (e.key == "trace") {
       c.trace.binary_path = parse_config_value(e, parse_path);
-    } else if (e.key == "trace_json") {
-      c.trace.json_path = parse_config_value(e, parse_path);
     }
   }
-  c.trace.enabled = !c.trace.binary_path.empty() || !c.trace.json_path.empty();
+  c.trace.enabled = !c.trace.binary_path.empty();
   if (seed.has_value() || loss.has_value()) {
     c.perturb.enabled = true;
     if (seed.has_value()) {
@@ -122,8 +120,6 @@ std::string Config::to_string() const {
     s += race.mode == race::Mode::kPage ? ";race=page" : ";race=word";
   if (trace.enabled && !trace.binary_path.empty())
     s += ";trace=" + trace.binary_path;
-  if (trace.enabled && !trace.json_path.empty())
-    s += ";trace_json=" + trace.json_path;
   return s;
 }
 

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <array>
-#include <cstdio>
 #include <cstdlib>
 #include <cstring>
 
@@ -15,35 +14,6 @@
 namespace omsp::tmk {
 
 namespace {
-// Debug tracing for one page, enabled with OMSP_TRACE_PAGE=<id> (or -2 for
-// all pages); OMSP_TRACE_OFF selects the in-page byte offset whose 64-bit
-// value is printed with each event.
-int trace_page() {
-  static int page = [] {
-    const char* env = std::getenv("OMSP_TRACE_PAGE");
-    return env != nullptr ? std::atoi(env) : -1;
-  }();
-  return page;
-}
-std::size_t trace_off() {
-  static std::size_t off = [] {
-    const char* env = std::getenv("OMSP_TRACE_OFF");
-    return env != nullptr ? static_cast<std::size_t>(std::atoi(env)) : 0;
-  }();
-  return off;
-}
-#define OMSP_PTRACE(p, ...)                                                   \
-  do {                                                                        \
-    if (trace_page() == -2 || static_cast<int>(p) == trace_page())            \
-        [[unlikely]] {                                                        \
-      char tbuf_[512];                                                        \
-      int tn_ =                                                               \
-          std::snprintf(tbuf_, sizeof tbuf_, "[ctx%u pg%u] ", id_, (p));      \
-      tn_ += std::snprintf(tbuf_ + tn_, sizeof tbuf_ - tn_, __VA_ARGS__);     \
-      tbuf_[tn_++] = '\n';                                                    \
-      std::fwrite(tbuf_, 1, tn_, stderr);                                     \
-    }                                                                         \
-  } while (0)
 // Chaos mode (OMSP_CHAOS=<permille>): sleeps a random few microseconds at
 // protocol decision points to shake out interleavings the scheduler would
 // rarely produce. Each context reads the variable once, when it is built (so
@@ -127,7 +97,6 @@ void DsmContext::on_fault(void* addr, bool is_write) {
 
   const PageId p = heap_.page_of(addr);
   check_allocated(p);
-  OMSP_PTRACE(p, "fault is_write=%d", is_write ? 1 : 0);
   if (race_ != nullptr) race_->record_access(id_, p, is_write);
   std::unique_lock<std::mutex> lock(page_lock(p));
   PageMeta& meta = pages_[p];
@@ -186,7 +155,6 @@ void DsmContext::set_prot(PageId p, Protection prot) {
   heap_.protect_host(p, 1, prot);
   if (meta.prot != prot) heap_.charge_protect(p, prot);
   meta.prot = prot;
-  OMSP_PTRACE(p, "set_prot %d", static_cast<int>(prot));
 }
 
 bool DsmContext::charge_write_enable(PageId p) {
@@ -215,8 +183,6 @@ void DsmContext::make_twin(PageId p) {
     meta.race_collected_seq = last_listed_[p];
   }
   trace::record(*stats_, trace::EventKind::kTwinCreate, id_, p);
-  OMSP_PTRACE(p, "twin made val=%ld",
-              reinterpret_cast<const long*>(meta.twin.get())[trace_off() / 8]);
   if (auto* clock = sim::VirtualClock::current(); clock != nullptr)
     clock->charge(config_.cost.twin_us);
   std::lock_guard<std::mutex> dl(dirty_mutex_);
@@ -242,45 +208,14 @@ void DsmContext::fetch_and_apply(PageId p, std::unique_lock<std::mutex>& lock) {
     IntervalSeq have;
     IntervalSeq want;
   };
-  // One fetched diff awaiting the final vt-sorted apply.
-  struct Got {
-    std::uint64_t vtsum;
-    IntervalSeq seq;
-    ContextId creator;
-    DiffBytes diff;
-  };
 
   // Collect every diff first, apply once at the end: applying per fetch
   // round could put a later round's lower-vt diff on top of bytes a causally
   // newer diff already installed. Notice batches are vector-time-complete,
   // so all causally related pendings surface within this one fetch session
   // and a single global sort yields a correct order.
-  std::vector<Got> got;
+  std::vector<ShippedDiff> got;
 
-  // Parse one kDiffRequest reply (shared by the sync and async rounds):
-  // apply the piggybacked records, park the diffs in `got`, return the
-  // highest interval tag now in hand. Called with no page lock held
-  // (apply_records takes page locks).
-  auto parse_reply = [&](const std::vector<std::uint8_t>& reply,
-                         ContextId creator, IntervalSeq have) -> IntervalSeq {
-    ByteReader r(reply);
-    auto recs = deserialize_records(r);
-    if (!recs.empty())
-      apply_records(recs, /*sync=*/false); // data piggyback, no page lock
-    const auto floor = r.get<IntervalSeq>();
-    const auto count = r.get<std::uint32_t>();
-    IntervalSeq maxseq = std::max(have, floor);
-    for (std::uint32_t j = 0; j < count; ++j) {
-      Got g;
-      g.seq = r.get<IntervalSeq>();
-      g.vtsum = r.get<std::uint64_t>();
-      g.creator = creator;
-      g.diff = r.get_span<std::uint8_t>();
-      maxseq = std::max(maxseq, g.seq);
-      got.push_back(std::move(g));
-    }
-    return maxseq;
-  };
   for (;;) {
     std::vector<Need> needs;
     VectorTime my_vt;
@@ -326,13 +261,12 @@ void DsmContext::fetch_and_apply(PageId p, std::unique_lock<std::mutex>& lock) {
           for (auto& ent : entries) {
             if (ent.creator != nd.creator) continue;
             matched = true;
-            maxseq = std::max(maxseq, ent.floor);
+            maxseq = std::max(maxseq, ent.covers);
             ready = std::max(ready, ent.ready_us);
             for (auto& d : ent.diffs) {
               if (d.seq <= nd.have) continue; // stale: already applied
               used_bytes += d.diff.size();
-              maxseq = std::max(maxseq, d.seq);
-              got.push_back(Got{d.vt_sum, d.seq, nd.creator, std::move(d.diff)});
+              got.push_back(std::move(d));
             }
           }
           if (!matched) {
@@ -350,8 +284,6 @@ void DsmContext::fetch_and_apply(PageId p, std::unique_lock<std::mutex>& lock) {
           if (clock != nullptr) clock->advance_to(ready);
           const double residual = clock != nullptr ? clock->now_us() - t0 : 0;
           if (maxseq >= nd.want) {
-            OMSP_PTRACE(p, "prefetch hit creator=%u bytes=%llu", nd.creator,
-                        static_cast<unsigned long long>(used_bytes));
             trace::record(*stats_, trace::EventKind::kPrefetchHit, id_, p,
                           used_bytes,
                           router_.same_node(id_, nd.creator)
@@ -369,83 +301,55 @@ void DsmContext::fetch_and_apply(PageId p, std::unique_lock<std::mutex>& lock) {
       if (needs.empty()) continue;
     }
 
-    for (const Need& nd : needs)
-      OMSP_PTRACE(p, "fetch need creator=%u have=%u want=%u", nd.creator,
-                  nd.have, nd.want);
-
     // Fetch with no page lock held: a remote context may concurrently be
     // fetching *our* diffs for the same page (mutual false sharing) and its
     // request handler takes our page lock.
     lock.unlock();
     chaos_point(chaos_permille_);
-    if (overlap_async_fetch()) {
-      // Overlapped round: issue every per-creator request at once, then
-      // collect. The requests serialize on this sender's occupancy but their
-      // RTTs overlap, so the round's stall is the max of the in-flight
-      // completions, not the sum — TreadMarks' SIGIO request service lets
-      // creators reply concurrently. Reply parsing is identical to the sync
-      // path below; only the waiting (and the trace event) differ.
-      auto* clock = sim::VirtualClock::current();
-      const double t0 = clock != nullptr ? clock->now_us() : 0;
-      std::vector<net::PendingReply> pendings;
-      pendings.reserve(needs.size());
-      bool offnode = false;
-      for (const Need& need : needs) {
-        ByteWriter req;
-        req.put<PageId>(p);
-        req.put<IntervalSeq>(need.have);
-        req.put<IntervalSeq>(need.want);
-        my_vt.serialize(req);
-        pendings.push_back(
-            router_.transport().call_async(net::Envelope::request(
-                id_, need.creator, net::MsgType::kDiffRequest, req)));
-        if (!router_.same_node(id_, need.creator)) offnode = true;
-      }
-      std::uint64_t total_bytes = 0;
-      double last_complete = t0;
-      for (std::size_t i = 0; i < needs.size(); ++i) {
-        const Need& need = needs[i];
-        double complete = 0;
-        auto reply = pendings[i].wait_at(&complete); // no clock advance yet
-        last_complete = std::max(last_complete, complete);
-        total_bytes += reply.size();
-        const IntervalSeq maxseq = parse_reply(reply, need.creator, need.have);
-        std::lock_guard<std::mutex> tl(table_mutex_);
-        IntervalSeq& a = applied_[std::size_t{p} * nc_ + need.creator];
-        a = std::max(a, maxseq);
-        OMSP_PTRACE(p, "applied[%u] -> %u (async)", need.creator, a);
-      }
-      if (clock != nullptr) clock->advance_to(last_complete);
-      trace::note(trace::EventKind::kDiffFetchAsync, id_, p, total_bytes,
-                  offnode ? trace::kFlagOffNode : std::uint16_t{0},
-                  clock != nullptr ? clock->now_us() - t0 : 0);
-    } else {
-      for (const Need& need : needs) {
-        // The request carries our vector time; the reply piggybacks every
-        // interval record we lack. Merging them (an acquire, effectively)
-        // before our next interval closes makes our later intervals causally
-        // dominate every byte consumed here — the property that makes the
-        // vt-sum apply order correct for conflicting diffs.
-        ByteWriter req;
-        req.put<PageId>(p);
-        req.put<IntervalSeq>(need.have);
-        req.put<IntervalSeq>(need.want);
-        my_vt.serialize(req);
-        auto reply = router_.transport().call(net::Envelope::request(
-            id_, need.creator, net::MsgType::kDiffRequest, req));
-        trace::note(trace::EventKind::kDiffFetch, id_, p, reply.size(),
-                    router_.same_node(id_, need.creator)
-                        ? std::uint16_t{0}
-                        : trace::kFlagOffNode);
-        const IntervalSeq maxseq = parse_reply(reply, need.creator, need.have);
-        {
-          std::lock_guard<std::mutex> tl(table_mutex_);
-          IntervalSeq& a = applied_[std::size_t{p} * nc_ + need.creator];
-          a = std::max(a, maxseq);
-          OMSP_PTRACE(p, "applied[%u] -> %u", need.creator, a);
-        }
-      }
+    // One request per creator, all issued before any reply is read. An
+    // asynchronous transport overlaps their round trips, so the stall ends at
+    // the latest completion, not after the sum (TreadMarks' SIGIO request
+    // service lets creators reply concurrently); a synchronous one runs and
+    // charges each round trip as it is issued. The request carries our
+    // vector time; the reply piggybacks every interval record we lack.
+    // Merging them (an acquire, effectively) before our next interval closes
+    // makes our later intervals causally dominate every byte consumed here —
+    // the property that makes the vt-sum apply order correct for conflicting
+    // diffs.
+    std::vector<net::PendingReply> replies;
+    replies.reserve(needs.size());
+    for (const Need& need : needs) {
+      // Sized up front: one allocation, and no first put into an empty
+      // writer, which GCC 12 at -O2 flags (-Wnonnull) once inlined here.
+      ByteWriter req(sizeof(PageId) + 2 * sizeof(IntervalSeq) +
+                     my_vt.wire_size());
+      req.put<PageId>(p);
+      req.put<IntervalSeq>(need.have);
+      req.put<IntervalSeq>(need.want);
+      my_vt.serialize(req);
+      replies.push_back(router_.transport().call_async(net::Envelope::request(
+          id_, need.creator, net::MsgType::kDiffRequest, req)));
     }
+    double last_complete = 0;
+    for (std::size_t i = 0; i < needs.size(); ++i) {
+      const Need& need = needs[i];
+      double complete = 0;
+      const auto reply = replies[i].wait_at(&complete); // clock moves below
+      last_complete = std::max(last_complete, complete);
+      trace::note(trace::EventKind::kDiffFetch, id_, p, reply.size(),
+                  router_.same_node(id_, need.creator) ? std::uint16_t{0}
+                                                       : trace::kFlagOffNode);
+      ByteReader r(reply);
+      const auto recs = deserialize_records(r);
+      if (!recs.empty())
+        apply_records(recs, /*sync=*/false); // data piggyback, no page lock
+      const IntervalSeq covers = read_page_diffs(r, need.have, got);
+      std::lock_guard<std::mutex> tl(table_mutex_);
+      IntervalSeq& a = applied_[std::size_t{p} * nc_ + need.creator];
+      a = std::max(a, covers);
+    }
+    if (auto* clock = sim::VirtualClock::current(); clock != nullptr)
+      clock->advance_to(last_complete);
     lock.lock();
     // Loop: the piggybacked records (or a concurrent acquire by another
     // thread of this node) may have queued new notices while we fetched.
@@ -455,7 +359,9 @@ void DsmContext::fetch_and_apply(PageId p, std::unique_lock<std::mutex>& lock) {
   // diffs land in order; concurrent diffs touch disjoint bytes in any
   // data-race-free program, so their relative order is irrelevant.
   std::stable_sort(got.begin(), got.end(),
-                   [](const Got& a, const Got& b) { return a.vtsum < b.vtsum; });
+                   [](const ShippedDiff& a, const ShippedDiff& b) {
+                     return a.vt_sum < b.vt_sum;
+                   });
   if (!got.empty()) {
     // The original system write-enables the page here; the stores go
     // through the runtime mapping, so only that mprotect's cost is modeled
@@ -464,13 +370,8 @@ void DsmContext::fetch_and_apply(PageId p, std::unique_lock<std::mutex>& lock) {
     charge_write_enable(p);
     std::uint8_t* dst = heap_.runtime_page(p);
     auto* clock = sim::VirtualClock::current();
-    for (const Got& g : got) {
+    for (const ShippedDiff& g : got) {
       apply_diff(g.diff, dst);
-      OMSP_PTRACE(p,
-                  "apply diff creator=%u seq=%u bytes=%zu vtsum=%llu -> val=%ld",
-                  g.creator, g.seq, g.diff.size(),
-                  static_cast<unsigned long long>(g.vtsum),
-                  reinterpret_cast<const long*>(dst)[trace_off() / 8]);
       // A locally-dirty page must absorb remote diffs into its twin as well:
       // otherwise this context's next diff would re-export the remote bytes
       // under its own (possibly concurrent) interval, and a third context
@@ -536,14 +437,8 @@ void DsmContext::handle(ContextId src, net::MsgType type, ByteReader& request,
       std::unique_lock<std::mutex> lock(page_lock(p));
       PageMeta& meta = pages_[p];
       if (meta.twin != nullptr) flush_page_diff_locked(p);
-      IntervalSeq floor;
-      {
-        std::lock_guard<std::mutex> tl(table_mutex_);
-        floor = last_listed_[p];
-      }
       body.put<PageId>(p);
-      body.put<IntervalSeq>(floor);
-      put_diffs_above(p, have, body);
+      put_page_diffs_locked(p, have, body);
     }
 
     // Phase 2: piggybacked records, computed AFTER every flush above so the
@@ -575,7 +470,11 @@ void DsmContext::handle(ContextId src, net::MsgType type, ByteReader& request,
   // merge it for the causal-dominance ordering argument to hold.
   // (records_unknown_to takes the table lock, which nests inside page locks.)
   serialize_records(records_unknown_to(req_vt), reply);
+  put_page_diffs_locked(p, have, reply);
+}
 
+void DsmContext::put_page_diffs_locked(PageId p, IntervalSeq have,
+                                       ByteWriter& out) {
   // With no twin outstanding, everything any of our published intervals has
   // listed for this page is contained in the stored diffs. The floor lets
   // the requester mark those intervals applied even when its `have` filter
@@ -586,11 +485,7 @@ void DsmContext::handle(ContextId src, net::MsgType type, ByteReader& request,
     std::lock_guard<std::mutex> tl(table_mutex_);
     floor = last_listed_[p];
   }
-  reply.put<IntervalSeq>(floor);
-  put_diffs_above(p, have, reply);
-}
-
-void DsmContext::put_diffs_above(PageId p, IntervalSeq have, ByteWriter& out) {
+  out.put<IntervalSeq>(floor);
   const auto& diffs = pages_[p].stored_diffs; // seq ascending
   const auto first = std::partition_point(
       diffs.begin(), diffs.end(),
@@ -604,6 +499,21 @@ void DsmContext::put_diffs_above(PageId p, IntervalSeq have, ByteWriter& out) {
     out.put<std::uint64_t>(vt_sum_of_own(it->seq));
     out.put_span<std::uint8_t>({it->bytes.data(), it->bytes.size()});
   }
+}
+
+IntervalSeq DsmContext::read_page_diffs(ByteReader& r, IntervalSeq have,
+                                        std::vector<ShippedDiff>& out) {
+  IntervalSeq covers = std::max(have, r.get<IntervalSeq>()); // the floor
+  const auto count = r.get<std::uint32_t>();
+  for (std::uint32_t i = 0; i < count; ++i) {
+    ShippedDiff d;
+    d.seq = r.get<IntervalSeq>();
+    d.vt_sum = r.get<std::uint64_t>();
+    d.diff = r.get_span<std::uint8_t>();
+    covers = std::max(covers, d.seq);
+    out.push_back(std::move(d));
+  }
+  return covers;
 }
 
 void DsmContext::apply_bytes_at_home(PageId p, const std::uint8_t* bytes,
@@ -802,7 +712,6 @@ void DsmContext::flush_page_diff_locked(PageId p) {
       last_listed_[p] = tag;
       sync_vt_[id_] = tag; // own intervals are always sync-known to self
       trace::record(*stats_, trace::EventKind::kIntervalClose, id_, tag, 1);
-      OMSP_PTRACE(p, "flush mints interval seq=%u", tag);
       if (race_ != nullptr) {
         minted = true;
         minted_vt = sync_vt_;
@@ -850,10 +759,6 @@ void DsmContext::flush_page_diff_locked(PageId p) {
   if (auto* clock = sim::VirtualClock::current(); clock != nullptr)
     clock->charge(config_.cost.diff_create_base_us +
                   config_.cost.diff_byte_us * kPageSize);
-  OMSP_PTRACE(p, "flush tag=%u bytes=%zu state=%d twin=%ld cur=%ld", tag,
-              diff.size(), static_cast<int>(meta.state),
-              reinterpret_cast<const long*>(meta.twin.get())[trace_off() / 8],
-              reinterpret_cast<const long*>(current)[trace_off() / 8]);
   // Released entries form a prefix, so the page is already on held_pages_
   // exactly when its newest entry still holds bytes.
   const bool list_held =
@@ -916,8 +821,6 @@ std::optional<IntervalRecord> DsmContext::close_interval() {
       close_svt = sync_vt_;
     }
   }
-  for (PageId p : rec.pages)
-    OMSP_PTRACE(p, "close lists page in interval seq=%u", rec.seq);
   trace::record(*stats_, trace::EventKind::kIntervalClose, id_, rec.seq,
                 rec.pages.size());
 
@@ -1047,9 +950,6 @@ void DsmContext::apply_records(const std::vector<IntervalRecord>& records,
         ++notices;
         IntervalSeq& pend = pending_[std::size_t{p} * nc_ + rec.creator];
         if (rec.seq > pend) pend = rec.seq;
-        OMSP_PTRACE(p, "notice creator=%u seq=%u pend=%u applied=%u",
-                    rec.creator, rec.seq, pend,
-                    applied_[std::size_t{p} * nc_ + rec.creator]);
         if (config_.protocol == Protocol::kHomeLRC && home_of(p) == id_)
           continue; // the home's copy is kept current by eager diffs
         if (pend > applied_[std::size_t{p} * nc_ + rec.creator])
@@ -1095,7 +995,6 @@ void DsmContext::invalidate_run(PageId first, std::size_t n) {
     meta.prot = Protection::kNone;
     heap_.charge_protect(p, Protection::kNone);
     trace::record(*stats_, trace::EventKind::kInvalidate, id_, p);
-    OMSP_PTRACE(p, "invalidated");
     changed = true;
   }
   // Pages of the run that were already invalid are PROT_NONE on the host.
@@ -1249,12 +1148,6 @@ void DsmContext::collect_garbage() {
 
 // --- overlapped fetch / barrier prefetch ------------------------------------
 
-bool DsmContext::overlap_async_fetch() const {
-  return config_.overlap.enabled && config_.overlap.async_fetch &&
-         config_.protocol == Protocol::kLazyRC &&
-         router_.transport().supports_async();
-}
-
 bool DsmContext::overlap_prefetch() const {
   return config_.overlap.enabled && config_.overlap.prefetch &&
          config_.protocol == Protocol::kLazyRC &&
@@ -1352,19 +1245,10 @@ void DsmContext::absorb_batch_reply(PrefetchBatch& batch) {
                    "batch reply page order mismatch");
     PrefetchEntry e;
     e.creator = batch.creator;
-    e.floor = r.get<IntervalSeq>();
     e.ready_us = complete;
     // Coverage starts at the request-time `have` (already raised by any
     // prior buffered entries) and extends over whatever actually shipped.
-    e.covers = std::max(batch.pages[i].second, e.floor);
-    const auto count = r.get<std::uint32_t>();
-    e.diffs.resize(count);
-    for (auto& d : e.diffs) {
-      d.seq = r.get<IntervalSeq>();
-      d.vt_sum = r.get<std::uint64_t>();
-      d.diff = r.get_span<std::uint8_t>();
-      e.covers = std::max(e.covers, d.seq);
-    }
+    e.covers = read_page_diffs(r, batch.pages[i].second, e.diffs);
     parsed.emplace_back(p, std::move(e));
   }
   std::lock_guard<std::mutex> pm(prefetch_mutex_);

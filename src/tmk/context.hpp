@@ -293,9 +293,10 @@ private:
   // Creator-side: turn the outstanding twin into a stored diff, minting a
   // fresh interval when the twin holds unpublished writes. Frees the twin.
   void flush_page_diff_locked(PageId p);
-  // Serialize the count and the (seq, vt sum, bytes) of every stored diff of
-  // p tagged above `have` — the body of both diff-request replies.
-  void put_diffs_above(PageId p, IntervalSeq have, ByteWriter& out);
+  // Creator-side page body of both diff-request replies (page lock held, no
+  // twin outstanding): the floor (last_listed_[p]), then the count and the
+  // (seq, vt sum, bytes) of every stored diff of p tagged above `have`.
+  void put_page_diffs_locked(PageId p, IntervalSeq have, ByteWriter& out);
   // Protection change that accompanies a page-state change: one host
   // mprotect, plus the modeled one unless PageMeta.prot is already `prot`.
   void set_prot(PageId p, Protection prot);
@@ -317,26 +318,33 @@ private:
 
   std::uint64_t vt_sum_of_own(IntervalSeq seq);
 
-  // --- overlapped-fetch internals -------------------------------------------
-  // One diff as shipped on the wire, parked until a fetch session drains it.
-  struct BufferedDiff {
+  // One diff as shipped in a diff reply, held until its fetch session
+  // applies it in vt-sum order.
+  struct ShippedDiff {
     IntervalSeq seq = 0;
     std::uint64_t vt_sum = 0;
     DiffBytes diff;
   };
-  // Prefetched state for one (page, creator) pair. `floor` is the creator's
-  // last_listed_ answer (lets the drain advance applied_ even when no diffs
-  // shipped); `ready_us` is the modeled completion time of the batch reply.
-  // `covers` says every interval at or below it is either applied at request
-  // time or present in `diffs` — the next prefetch round requests only diffs
-  // above the buffered coverage, so a page that sits prefetched-but-untouched
-  // across barriers ships each diff once, not its whole history every round.
+  // Requester-side reader of what put_page_diffs_locked wrote: appends the
+  // shipped diffs to `out` and returns the coverage, the highest of `have`,
+  // the floor and the shipped tags. Every interval of the creator at or
+  // below it is then applied or in `out`.
+  static IntervalSeq read_page_diffs(ByteReader& r, IntervalSeq have,
+                                     std::vector<ShippedDiff>& out);
+
+  // --- barrier prefetch internals -------------------------------------------
+  // Prefetched state for one (page, creator) pair. `ready_us` is the modeled
+  // completion time of the batch reply. `covers` is read_page_diffs' answer
+  // over the request-time `have`: every interval at or below it is either
+  // applied at request time or present in `diffs`. The drain raises applied_
+  // to it even when no diffs shipped, and the next prefetch round requests
+  // only diffs above it, so a page that sits prefetched-but-untouched across
+  // barriers ships each diff once, not its whole history every round.
   struct PrefetchEntry {
     ContextId creator = 0;
-    IntervalSeq floor = 0;
     IntervalSeq covers = 0;
     double ready_us = 0;
-    std::vector<BufferedDiff> diffs;
+    std::vector<ShippedDiff> diffs;
   };
   // One outstanding kDiffRequestBatch: the pages asked of one creator plus
   // the pending reply handle.
@@ -346,8 +354,7 @@ private:
     net::PendingReply reply;
   };
 
-  // True when this context may issue/consume overlapped traffic.
-  bool overlap_async_fetch() const;
+  // True when this context issues and drains barrier prefetch batches.
   bool overlap_prefetch() const;
   // Wait for one batch's reply, apply its piggybacked records (no locks
   // held), then park its diffs in prefetch_buffer_. Caller must have removed

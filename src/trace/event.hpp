@@ -44,15 +44,15 @@ enum class EventKind : std::uint16_t {
 
   // Analysis-only events (no counter mapping).
   kBarrierWait,      // per rank; arg0 = generation; dur = arrival..departure
-  kDiffFetch,        // arg0 = page, arg1 = reply bytes; kFlagOffNode per hop
+  kDiffFetch,        // one per creator of every fault-time fetch round;
+                     // arg0 = page, arg1 = reply bytes; kFlagOffNode when
+                     // the creator is on another node
   kGcEpisode,        // arg0 = stored diff bytes that triggered the episode
   kRegionBegin,      // arg0 = parallel region epoch (OpenMP layer)
   kRegionEnd,        // arg0 = parallel region epoch
 
-  // Appended kinds (values are wire-stable; append, never renumber).
-  kDiffFetchAsync,   // analysis-only: one overlapped fetch round; arg0 = page,
-                     // arg1 = total reply bytes; dur = stall (issue..last
-                     // reply completion on the faulting thread's clock)
+  // Appended kinds (values are wire-stable within a trace version; a kind
+  // removed renumbers the ones after it and bumps kTraceVersion).
   kPrefetchBatch,    // counter-bearing: one kDiffRequestBatch issued at
                      // barrier departure; arg0 = creator ctx, arg1 = pages
   kPrefetchHit,      // counter-bearing: a fault-time creator need satisfied
@@ -114,10 +114,10 @@ inline const char* event_name(EventKind k) {
                "interval_close", "notices_sent", "notices_recv",
                "invalidate",     "full_page_fetch",
                "barrier_wait",   "diff_fetch",   "gc_episode",
-               "region_begin",   "region_end",   "diff_fetch_async",
-               "prefetch_batch", "prefetch_hit", "message_lost",
-               "retransmit",     "ack",          "coll_stage",
-               "race_check",     "race_detected", "contention_wait"};
+               "region_begin",   "region_end",   "prefetch_batch",
+               "prefetch_hit",   "message_lost", "retransmit",
+               "ack",            "coll_stage",   "race_check",
+               "race_detected",  "contention_wait"};
   return names[static_cast<std::size_t>(k)];
 }
 
@@ -192,7 +192,6 @@ template <typename Add> void count_event(const Event& e, Add&& add) {
   case EventKind::kLockGrant:
   case EventKind::kBarrierWait:
   case EventKind::kDiffFetch:
-  case EventKind::kDiffFetchAsync:
   case EventKind::kGcEpisode:
   case EventKind::kRegionBegin:
   case EventKind::kRegionEnd:

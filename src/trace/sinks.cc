@@ -115,7 +115,6 @@ void append_args(std::string& out, const Event& e) {
   case EventKind::kDiffCreate:
   case EventKind::kDiffApply:
   case EventKind::kDiffFetch:
-  case EventKind::kDiffFetchAsync:
   case EventKind::kPrefetchHit:
     std::snprintf(buf, sizeof buf, "{\"page\":%" PRIu64 ",\"bytes\":%" PRIu64
                   ",\"offnode\":%d}",
@@ -237,7 +236,6 @@ void Tracer::finish(const StatsSnapshot& stats) {
   if (!opts_.binary_path.empty())
     write_binary(opts_.binary_path, collected_, dropped_total(),
                  opts_.run_config, stats);
-  if (!opts_.json_path.empty()) write_chrome_json(opts_.json_path, collected_);
 }
 
 } // namespace omsp::trace

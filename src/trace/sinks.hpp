@@ -31,7 +31,8 @@ inline constexpr char kTraceMagic[8] = {'O', 'M', 'S', 'P',
 // analyzers can report traffic by registry name (net/message.hpp).
 // Version 3: kMessage carries the modeled one-way cost in dur_us (the
 // analyzer's per-type latency column); adds the overlapped-fetch kinds
-// kDiffFetchAsync/kPrefetchBatch/kPrefetchHit and the prefetch counters.
+// kPrefetchBatch/kPrefetchHit (and a per-round fetch kind, dropped in
+// version 10) and the prefetch counters.
 // Version 4: adds the reliable-delivery kinds kMessageLost/kRetransmit/kAck
 // and the msgs_lost/retransmits/acks_sent counters (lossy transport).
 // Version 5: adds the hierarchical-collectives kind kCollStage (arg0 = wire
@@ -48,7 +49,10 @@ inline constexpr char kTraceMagic[8] = {'O', 'M', 'S', 'P',
 // Version 9: drops the zero-copy kind and its counters (kinds after it
 // renumber), and the header carries the run's canonical config string
 // (tmk::Config::to_string) after the drop count.
-inline constexpr std::uint32_t kTraceVersion = 9;
+// Version 10: drops the per-round overlapped-fetch kind (kinds after it
+// renumber); every fault-time fetch, overlapped or not, emits one
+// kDiffFetch per creator.
+inline constexpr std::uint32_t kTraceVersion = 10;
 
 struct TraceFile {
   std::vector<Event> events;

@@ -9,7 +9,8 @@
 //   omsp-trace export  <run.trace> -o t.json  convert to Chrome trace JSON
 //   omsp-trace record  <sor|tsp> [--mode thread|process] [-o base]
 //                                             run an app with tracing enabled,
-//                                             write base.trace + base.json
+//                                             write base.trace, then export
+//                                             it to base.json
 //   omsp-trace --self-check                   record SOR and TSP in both
 //                                             modes, audit each trace, exit
 //                                             non-zero on any mismatch
@@ -333,7 +334,8 @@ bool audit(const TraceFile& tf, bool verbose) {
 
 // ---------------------------------------------------------------------------
 
-// Run one app with tracing enabled, writing base.trace (+ base.json).
+// Run one app with tracing enabled, writing base.trace (and exporting it to
+// base.json, as `export` would).
 bool record_run(const std::string& app, tmk::Mode mode,
                 const std::string& base, bool json) {
   tmk::Config cfg;
@@ -341,7 +343,6 @@ bool record_run(const std::string& app, tmk::Mode mode,
   cfg.mode = mode;
   cfg.trace.enabled = true;
   cfg.trace.binary_path = base + ".trace";
-  if (json) cfg.trace.json_path = base + ".json";
 
   apps::Result r;
   if (app == "sor") {
@@ -359,6 +360,8 @@ bool record_run(const std::string& app, tmk::Mode mode,
     std::fprintf(stderr, "unknown app '%s' (want sor|tsp)\n", app.c_str());
     return false;
   }
+  if (json)
+    write_chrome_json(base + ".json", read_binary(base + ".trace").events);
   std::printf("recorded %s (%s mode): checksum %.6g, %.0f us simulated -> "
               "%s.trace%s\n",
               app.c_str(), mode == tmk::Mode::kThread ? "thread" : "process",

@@ -1,5 +1,7 @@
 #include "trace/tracer.hpp"
 
+#include <algorithm>
+
 namespace omsp::trace {
 
 namespace {
@@ -26,7 +28,7 @@ std::size_t round_up_pow2(std::size_t n) {
 
 std::atomic<Tracer*> Tracer::g_active{nullptr};
 
-Ring::Ring(std::size_t capacity) {
+Ring::Ring(std::size_t capacity, std::uint32_t track) : track_(track) {
   capacity = round_up_pow2(capacity < 2 ? 2 : capacity);
   slots_.resize(capacity);
   mask_ = capacity - 1;
@@ -65,9 +67,16 @@ Ring* Tracer::local_ring() {
   if (t_local.generation == generation_ && t_local.ring != nullptr)
     return t_local.ring;
   std::lock_guard<std::mutex> lock(registry_mutex_);
-  rings_.push_back(std::make_unique<Ring>(opts_.ring_events));
-  t_local = LocalRef{generation_, rings_.back().get()};
-  return t_local.ring;
+  const auto at = std::upper_bound(
+      rings_.begin(), rings_.end(), t_track,
+      [](std::uint32_t track, const std::unique_ptr<Ring>& r) {
+        return track < r->track();
+      });
+  Ring* ring =
+      rings_.insert(at, std::make_unique<Ring>(opts_.ring_events, t_track))
+          ->get();
+  t_local = LocalRef{generation_, ring};
+  return ring;
 }
 
 void Tracer::emit(EventKind kind, ContextId ctx, std::uint64_t arg0,

@@ -43,9 +43,9 @@ struct Options {
   // Rings are drained at every barrier episode, so this bounds the events
   // emitted between two quiescent points, not per run.
   std::size_t ring_events = 1u << 16;
-  // Sink paths written at system shutdown; empty = skip that sink.
-  std::string binary_path; // raw events + embedded StatsSnapshot (omsp-trace)
-  std::string json_path;   // Chrome trace_event JSON (Perfetto/chrome://tracing)
+  // Written at system shutdown (empty = no file): raw events + embedded
+  // StatsSnapshot, read by omsp-trace, whose `export` writes Chrome JSON.
+  std::string binary_path;
   // The canonical config string of the run (tmk::Config::to_string), stamped
   // into the binary header. DsmSystem fills it in; a tracer a caller
   // installs directly leaves it empty.
@@ -53,9 +53,10 @@ struct Options {
 };
 
 // SPSC ring: the owning thread pushes, the quiescent-point drainer pops.
+// `track` is the owning thread's track when the ring was registered.
 class Ring {
 public:
-  explicit Ring(std::size_t capacity);
+  explicit Ring(std::size_t capacity, std::uint32_t track = 0);
 
   // Producer side. Returns false (and counts a drop) when full.
   bool push(const Event& e) {
@@ -83,6 +84,7 @@ public:
   }
   void reset_dropped() { dropped_.store(0, std::memory_order_relaxed); }
   std::size_t capacity() const { return slots_.size(); }
+  std::uint32_t track() const { return track_; }
 
 private:
   std::vector<Event> slots_;
@@ -90,6 +92,7 @@ private:
   std::atomic<std::uint64_t> head_{0};
   std::atomic<std::uint64_t> tail_{0};
   std::atomic<std::uint64_t> dropped_{0};
+  std::uint32_t track_;
 };
 
 class Tracer {
@@ -110,7 +113,8 @@ public:
   }
 
   // Bind the calling thread's track id (the global rank). Plain thread-local
-  // store; called unconditionally by the worker pool.
+  // store; called unconditionally by the DSM worker pool and the MPI rank
+  // threads. A thread's ring keeps the track it was registered under.
   static void bind_thread(std::uint32_t track);
 
   // --- emission (hot path; protocol code goes through record/note) ---------
@@ -150,6 +154,9 @@ private:
   std::uint64_t generation_;
 
   mutable std::mutex registry_mutex_;
+  // Sorted by track (a thread's ring goes after those already on its
+  // track), so drains write each thread's events in an order that does not
+  // depend on which thread the host ran first.
   std::vector<std::unique_ptr<Ring>> rings_;
 
   std::mutex collect_mutex_;

@@ -7,6 +7,8 @@
 
 #include "../common/env_guard.hpp"
 #include "mpi/mpi.hpp"
+#include "trace/sinks.hpp"
+#include "trace/tracer.hpp"
 
 namespace omsp::mpi {
 namespace {
@@ -527,6 +529,43 @@ TEST(MpiColl, CollStageCountersGatedByMode) {
   // Fused tree allreduce: p - 1 = 7 edges up, 7 down.
   EXPECT_EQ(tree[Counter::kCollStages], 14u);
   EXPECT_GT(tree[Counter::kCollBytes], 14u * net::kHeaderBytes);
+}
+
+// A traced MPI run names each rank's track after the rank, and its trace
+// file is a function of the run: every rank thread's events are written in
+// rank order, not in the order the host first ran the threads.
+TEST(MpiTrace, RanksOwnTheirTracksAndTracesRepeat) {
+  auto traced_run = [] {
+    trace::Options topts;
+    topts.enabled = true;
+    trace::Tracer tracer(topts);
+    EXPECT_TRUE(tracer.install());
+    sim::CostModel m = sim::CostModel::sp2_default();
+    m.cpu_scale = 0; // timestamps are modeled time only
+    MpiWorld w(sim::Topology(2, 2), m);
+    w.run([](Comm& c) {
+      const int p = c.size();
+      std::uint32_t tok = static_cast<std::uint32_t>(c.rank());
+      for (int i = 0; i < 3; ++i)
+        c.sendrecv((c.rank() + 1) % p, 5, &tok, sizeof(tok),
+                   (c.rank() + p - 1) % p, 5, &tok, sizeof(tok));
+      double x = c.rank();
+      c.allreduce(&x, 1, std::plus<double>{});
+      c.barrier();
+    });
+    const auto events = tracer.snapshot_events();
+    tracer.uninstall();
+    return std::pair{events, trace::encode_trace(events, 0, "", w.stats())};
+  };
+  const auto [events, bytes] = traced_run();
+  std::size_t messages = 0;
+  for (const trace::Event& e : events)
+    if (e.kind == trace::EventKind::kMessage) {
+      ++messages;
+      EXPECT_EQ(e.rank, e.ctx);
+    }
+  EXPECT_GT(messages, 0u);
+  EXPECT_EQ(traced_run().second, bytes);
 }
 
 TEST(MpiLoss, SeededLossDeterministicMakespan) {

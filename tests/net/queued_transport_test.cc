@@ -193,6 +193,42 @@ TEST(QueuedTransport, PerturbedAsyncJitterAndDuplicates) {
   EXPECT_EQ(pt.stats().duplicates, 1u);
 }
 
+// Over a synchronous inner transport call_async has nothing to overlap, so
+// it runs each exchange as call() does: jitter adds to the caller's clock
+// once per exchange. A max over the two completions would leave the caller
+// at 426.13 us here instead of 431.71 us.
+TEST(PerturbingTransport, AsyncOverInlineChargesLikeCall) {
+  auto run = [](bool async) {
+    Router router({0, 1, 2, 3}, flat_model());
+    CountingEcho echo;
+    router.bind_handler(1, &echo);
+    PerturbOptions po;
+    po.enabled = true;
+    po.seed = 11;
+    po.jitter_max_us = 25.0;
+    po.duplicate_prob = 0;
+    po.reorder_prob = 0;
+    PerturbingTransport pt(std::make_unique<InlineTransport>(router), router,
+                           po);
+    sim::VirtualClock clk(0.0);
+    sim::VirtualClock::Binder bind(&clk);
+    ByteWriter r1, r2;
+    if (async) {
+      auto p1 = pt.call_async(request_to(0, 1, r1));
+      auto p2 = pt.call_async(request_to(0, 1, r2));
+      (void)p1.wait();
+      (void)p2.wait();
+    } else {
+      (void)pt.call(request_to(0, 1, r1));
+      (void)pt.call(request_to(0, 1, r2));
+    }
+    return clk.now_us();
+  };
+  const double sync_us = run(false);
+  EXPECT_NEAR(sync_us, 431.71, 0.01);
+  EXPECT_DOUBLE_EQ(run(true), sync_us);
+}
+
 // Regression (ordering): an injected duplicate models a RETRANSMISSION of
 // its primary, so it must be serviced behind the primary on the (src,dst)
 // channel. The old path issued the duplicate as a fresh call_async, whose

@@ -30,7 +30,7 @@ struct GrammarRow {
   double loss_prob = 0;
   std::uint32_t max_retries = 8;
   race::Mode race = race::Mode::kOff;
-  const char* trace_json = "";
+  const char* trace = "";
 };
 
 const GrammarRow kGrammarRows[] = {
@@ -51,7 +51,7 @@ const GrammarRow kGrammarRows[] = {
     {.spec = "overlap=on", .overlap = true},
     {.spec = "overlap=off"},
     {.spec = "race=page", .race = race::Mode::kPage},
-    {.spec = "trace_json=heat.json", .trace_json = "heat.json"},
+    {.spec = "trace=heat.trace", .trace = "heat.trace"},
     {.spec = "topo=fat:2x8x2", .topo = "fat:2x8x2"},
 };
 
@@ -62,7 +62,7 @@ TEST(ConfigGrammar, CiStacksResolveToTheirFields) {
     EXPECT_EQ(c.topology.spec(), row.topo);
     EXPECT_EQ(c.coll.tree, row.tree);
     EXPECT_EQ(c.overlap.enabled, row.overlap);
-    EXPECT_TRUE(c.overlap.async_fetch && c.overlap.prefetch);
+    EXPECT_TRUE(c.overlap.prefetch);
     EXPECT_EQ(c.perturb.enabled, row.perturb);
     EXPECT_EQ(c.perturb.seed, row.seed);
     EXPECT_EQ(c.perturb.jitter_max_us, row.jitter_max_us);
@@ -72,8 +72,8 @@ TEST(ConfigGrammar, CiStacksResolveToTheirFields) {
     EXPECT_EQ(c.perturb.loss_prob, row.loss_prob);
     EXPECT_EQ(c.perturb.max_retries, row.max_retries);
     EXPECT_EQ(c.race.mode, row.race);
-    EXPECT_EQ(c.trace.enabled, *row.trace_json != '\0');
-    EXPECT_EQ(c.trace.json_path, row.trace_json);
+    EXPECT_EQ(c.trace.enabled, *row.trace != '\0');
+    EXPECT_EQ(c.trace.binary_path, row.trace);
   }
 }
 
@@ -99,7 +99,6 @@ TEST(ConfigGrammar, ToStringRoundTrips) {
     EXPECT_EQ(back.race.mode, c.race.mode);
     EXPECT_EQ(back.trace.enabled, c.trace.enabled);
     EXPECT_EQ(back.trace.binary_path, c.trace.binary_path);
-    EXPECT_EQ(back.trace.json_path, c.trace.json_path);
   }
   EXPECT_EQ(Config::parse("perturb=2;loss=0.05;coll=tree:4096").to_string(),
             "topo=sp2;coll=tree:4096;perturb=2;loss=0.05");
@@ -148,7 +147,6 @@ INSTANTIATE_TEST_SUITE_P(
         BadSpec{"perturb", "perturb=abc", "bad value 'abc' for key 'perturb'"},
         BadSpec{"loss", "loss=0,05", "bad value '0,05' for key 'loss'"},
         BadSpec{"trace", "trace=", "bad value '' for key 'trace'"},
-        BadSpec{"trace_json", "trace_json=", "bad value '' for key 'trace_json'"},
         BadSpec{"unknown", "coll=tree;colll=tree", "unknown key 'colll'"},
         BadSpec{"repeated", "coll=tree;coll=central", "repeated key 'coll'"},
         BadSpec{"no_equals", "coll=tree;", "entry '' has no '='"}),

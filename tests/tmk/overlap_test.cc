@@ -11,6 +11,7 @@
 
 #include "../common/env_guard.hpp"
 #include "core/runtime.hpp"
+#include "net/message.hpp"
 #include "net/transport.hpp"
 #include "trace/sinks.hpp"
 
@@ -22,7 +23,7 @@ using test::ScopedEnvClear;
 net::OverlapOptions overlap_all() {
   net::OverlapOptions o;
   o.enabled = true;
-  return o; // async_fetch + prefetch
+  return o; // overlapped fetch + prefetch
 }
 
 net::OverlapOptions overlap_fetch_only() {
@@ -72,6 +73,7 @@ struct NeighborResult {
   std::vector<long> sums;
   StatsSnapshot stats;
   double makespan_us = 0;
+  std::vector<trace::Event> events; // when the config enables tracing
 };
 
 NeighborResult run_neighbor(const Config& base, double compute_us = 0) {
@@ -109,6 +111,7 @@ NeighborResult run_neighbor(const Config& base, double compute_us = 0) {
   });
   res.stats = dsm.stats();
   res.makespan_us = dsm.master_time_us();
+  if (dsm.tracer() != nullptr) res.events = dsm.tracer()->snapshot_events();
   return res;
 }
 
@@ -214,6 +217,30 @@ TEST(OverlappedFetch, AsyncFetchKeepsCountersIdentical) {
   const NeighborResult overlap_run = run_neighbor(cfg);
   EXPECT_EQ(overlap_run.sums, inline_run.sums);
   expect_deterministic_counters_eq(overlap_run.stats, inline_run.stats);
+}
+
+// One fetch path: every fault-time fetch round, overlapped or not, traces
+// one diff_fetch per creator, so there is exactly one per kDiffRequest round
+// trip, whose request and reply are two kMessage events of that type.
+TEST(OverlappedFetch, TracesOneDiffFetchPerRoundTrip) {
+  const ScopedEnvClear env_guard;
+  for (const net::OverlapOptions& overlap :
+       {net::OverlapOptions{}, overlap_fetch_only()}) {
+    SCOPED_TRACE(overlap.enabled ? "overlapped" : "inline");
+    Config cfg = neighbor_config();
+    cfg.overlap = overlap;
+    cfg.trace.enabled = true;
+    const NeighborResult run = run_neighbor(cfg);
+    std::size_t fetches = 0, request_msgs = 0;
+    for (const trace::Event& e : run.events) {
+      if (e.kind == trace::EventKind::kDiffFetch) ++fetches;
+      if (e.kind == trace::EventKind::kMessage &&
+          net::message_type_of_arg1(e.arg1) == net::MsgType::kDiffRequest)
+        ++request_msgs;
+    }
+    EXPECT_GE(fetches, 1u);
+    EXPECT_EQ(2 * fetches, request_msgs);
+  }
 }
 
 // ----------------------------------------------------- overlapped stalls ----

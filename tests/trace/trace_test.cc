@@ -195,11 +195,10 @@ TEST(Reconstruct, MapsEveryCounterBearingKind) {
 // The one kind→counter table: between them the kinds move all 31 counters,
 // and the analysis-only kinds move none.
 TEST(CountEvent, EveryCounterHasAKind) {
-  const std::array<EventKind, 7> analysis_only = {
+  const std::array<EventKind, 6> analysis_only = {
       EventKind::kRegionBegin, EventKind::kRegionEnd,
-      EventKind::kDiffFetch,   EventKind::kDiffFetchAsync,
-      EventKind::kBarrierWait, EventKind::kLockGrant,
-      EventKind::kGcEpisode};
+      EventKind::kDiffFetch,   EventKind::kBarrierWait,
+      EventKind::kLockGrant,   EventKind::kGcEpisode};
   const std::array<std::uint16_t, 2> flag_sets = {
       0, kFlagWrite | kFlagOffNode | kFlagRemote};
   std::array<bool, static_cast<std::size_t>(Counter::kCount)> touched{};
